@@ -25,7 +25,20 @@ void write_floats(std::ofstream& out, const std::vector<float>& v) {
             static_cast<std::streamsize>(v.size() * sizeof(float)));
 }
 
+/// Bytes between the read position and the end of the file: every count
+/// read from a file is checked against it before it sizes an allocation.
+std::uint64_t bytes_left(std::ifstream& in) {
+  const auto pos = in.tellg();
+  in.seekg(0, std::ios::end);
+  const auto end = in.tellg();
+  in.seekg(pos);
+  return static_cast<std::uint64_t>(end - pos);
+}
+
 std::vector<float> read_floats(std::ifstream& in, std::size_t n) {
+  if (n > bytes_left(in) / sizeof(float)) {
+    throw std::runtime_error("checkpoint: truncated reading parameters");
+  }
   std::vector<float> v(n);
   in.read(reinterpret_cast<char*>(v.data()), static_cast<std::streamsize>(n * sizeof(float)));
   if (!in) throw std::runtime_error("checkpoint: truncated reading parameters");
@@ -102,6 +115,9 @@ std::vector<std::vector<float>> load_fleet(const std::string& path) {
   check_version(in, "load_fleet", path);
   const auto count = read_u64(in, "count");
   const auto dim = read_u64(in, "dimension");
+  if (count > bytes_left(in) / sizeof(std::uint64_t)) {
+    throw std::runtime_error("load_fleet: truncated reading agents of " + path);
+  }
   std::vector<std::vector<float>> models;
   models.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -137,6 +153,9 @@ ByteBuffer load_blob(const std::string& path, std::uint64_t magic, const char* w
   check_version(in, who, path);
   const auto size = read_u64(in, "size");
   const auto checksum = read_u64(in, "checksum");
+  if (size > bytes_left(in)) {
+    throw std::runtime_error(std::string(who) + ": truncated reading body of " + path);
+  }
   ByteBuffer body(static_cast<std::size_t>(size));
   in.read(reinterpret_cast<char*>(body.data()), static_cast<std::streamsize>(body.size()));
   if (!in) {

@@ -62,9 +62,7 @@ class ByteReader {
   ByteReader(const ByteBuffer& buf, const char* who) : buf_(&buf), who_(who) {}
 
   void read_raw(void* out, std::size_t n, const char* what) {
-    if (pos_ + n > buf_->size()) {
-      throw std::runtime_error(std::string(who_) + ": truncated reading " + what);
-    }
+    if (n > remaining()) throw_truncated(what);
     std::memcpy(out, buf_->data() + pos_, n);
     pos_ += n;
   }
@@ -94,27 +92,39 @@ class ByteReader {
     return v;
   }
 
+  // Length-prefixed reads check the length against the bytes left before
+  // allocating: a bit-flipped length must throw, not size a huge buffer.
   [[nodiscard]] std::string read_string(const char* what) {
     const auto n = read_u32(what);
+    if (n > remaining()) throw_truncated(what);
     std::string s(n, '\0');
     read_raw(s.data(), n, what);
     return s;
   }
 
   [[nodiscard]] std::vector<float> read_floats(const char* what) {
-    const auto n = read_u64(what);
-    if (n > (buf_->size() - pos_) / sizeof(float)) {
-      throw std::runtime_error(std::string(who_) + ": truncated reading " + what);
-    }
-    std::vector<float> v(static_cast<std::size_t>(n));
+    std::vector<float> v(read_count(what, sizeof(float)));
     read_raw(v.data(), v.size() * sizeof(float), what);
     return v;
   }
 
+  /// A u64 element count, checked to fit `elem_size`-byte elements in the
+  /// bytes left.
+  [[nodiscard]] std::size_t read_count(const char* what, std::size_t elem_size) {
+    const auto n = read_u64(what);
+    if (n > remaining() / elem_size) throw_truncated(what);
+    return static_cast<std::size_t>(n);
+  }
+
   [[nodiscard]] std::size_t position() const { return pos_; }
+  [[nodiscard]] std::size_t remaining() const { return buf_->size() - pos_; }
   [[nodiscard]] bool exhausted() const { return pos_ == buf_->size(); }
 
  private:
+  [[noreturn]] void throw_truncated(const char* what) const {
+    throw std::runtime_error(std::string(who_) + ": truncated reading " + what);
+  }
+
   const ByteBuffer* buf_;
   const char* who_;
   std::size_t pos_ = 0;

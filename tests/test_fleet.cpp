@@ -296,6 +296,26 @@ TEST(Wire, CorruptionTruncationAndBadHeaderThrow) {
   EXPECT_THROW((void)pdsl::fleet::wire_decode(bad_version), std::runtime_error);
 }
 
+TEST(Wire, EverySingleBitFlipIsRejectedOrHarmless) {
+  WireMessage m = sample_message();
+  m.payload.resize(2);  // a short frame keeps the sweep small
+  const auto frame = pdsl::fleet::wire_encode(m);
+  std::size_t rejected = 0;
+  for (std::size_t bit = 0; bit < 8 * frame.size(); ++bit) {
+    auto flipped = frame;
+    flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    const auto back = pdsl::fleet::wire_try_decode(flipped);
+    if (!back) {
+      ++rejected;
+      continue;
+    }
+    EXPECT_TRUE(pdsl::fleet::wire_equal(*back, m)) << "bit " << bit << " decoded to another message";
+  }
+  // FNV-1a's per-byte step is a bijection, so any single-byte change alters
+  // the checksum: every flip is in fact rejected.
+  EXPECT_EQ(rejected, 8 * frame.size());
+}
+
 // ---------------------------------------------------------------------------
 // LazyMatrix
 // ---------------------------------------------------------------------------
