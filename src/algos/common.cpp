@@ -620,42 +620,9 @@ std::vector<sim::RoundMetrics> run_with_metrics(Algorithm& alg, std::size_t roun
     m.elapsed_s = watch.elapsed_seconds();
     observe_phase_histograms(m.phases);
     if (ledger != nullptr && ledger->enabled()) {
-      json::Object ev;
-      ev["round"] = m.round;
-      ev["avg_loss"] = m.avg_loss;
-      ev["test_accuracy"] = m.test_accuracy;
-      ev["consensus"] = m.consensus;
-      ev["messages"] = m.messages;
-      ev["bytes"] = m.bytes;
-      ev["dropped"] = m.dropped;
-      ev["delayed"] = m.delayed;
-      ev["offline"] = m.offline;
-      ev["stale_reused"] = m.stale_reused;
-      ev["fallbacks"] = m.fallbacks;
-      ev["byz_active"] = m.byz_active;
-      ev["corrupted"] = m.corrupted;
-      ev["rejected"] = m.rejected;
-      ev["reclipped"] = m.reclipped;
-      ev["pi_attacker"] = m.pi_attacker;
-      ev["pi_honest"] = m.pi_honest;
-      ev["epsilon_spent"] = m.epsilon_spent;
-      ev["retransmits"] = m.retransmits;
-      ev["corrupt_detected"] = m.corrupt_detected;
-      ev["dup_dropped"] = m.dup_dropped;
-      ev["reordered"] = m.reordered;
-      ev["crashes"] = m.crashes;
-      ev["resyncs"] = m.resyncs;
-      ledger->event("round", std::move(ev));
+      ledger->event("round", sim::round_json(m, false));
       alg.ledger_round(*ledger, t);
-      json::Object timing;
-      timing["round"] = m.round;
-      timing["round_ms"] = 1e3 * m.round_s;
-      timing["local_grad_ms"] = 1e3 * m.phases.local_grad_s;
-      timing["crossgrad_ms"] = 1e3 * m.phases.crossgrad_s;
-      timing["shapley_ms"] = 1e3 * m.phases.shapley_s;
-      timing["aggregate_ms"] = 1e3 * m.phases.aggregate_s;
-      timing["gossip_ms"] = 1e3 * m.phases.gossip_s;
-      ledger->event(obs::RunLedger::kTimingEvent, std::move(timing));
+      ledger->event(obs::RunLedger::kTimingEvent, sim::round_json(m, true));
     }
     series.push_back(m);
     // Never checkpoint after the final round: the run is complete, not

@@ -16,17 +16,16 @@ CsvWriter::CsvWriter(const std::string& path, std::vector<std::string> columns)
   out_ << header << '\n';
 }
 
-void CsvWriter::write_line(const std::string& line) {
-  out_ << line << '\n';
+void CsvWriter::write(const CsvRow& row) {
+  if (row.size() != columns_) {
+    throw std::invalid_argument("CsvWriter: row with " + std::to_string(row.size()) +
+                                " cells, expected " + std::to_string(columns_));
+  }
+  out_ << row.str() << '\n';
   ++rows_;
 }
 
 void CsvWriter::flush() { out_.flush(); }
-
-void CsvWriter::throw_arity(std::size_t got) const {
-  throw std::invalid_argument("CsvWriter: row with " + std::to_string(got) +
-                              " cells, expected " + std::to_string(columns_));
-}
 
 std::vector<std::string> split_csv_line(const std::string& line) {
   std::vector<std::string> cells;

@@ -10,6 +10,25 @@
 
 namespace pdsl {
 
+/// One CSV line built cell by cell, for rows whose arity is only known at
+/// run time; each cell is formatted with operator<<.
+class CsvRow {
+ public:
+  template <typename T>
+  CsvRow& operator<<(const T& cell) {
+    if (cells_++ > 0) oss_ << ',';
+    oss_ << cell;
+    return *this;
+  }
+
+  [[nodiscard]] std::size_t size() const { return cells_; }
+  [[nodiscard]] std::string str() const { return oss_.str(); }
+
+ private:
+  std::ostringstream oss_;
+  std::size_t cells_ = 0;
+};
+
 /// Append-only CSV writer with a fixed header. Throws std::runtime_error if
 /// the file cannot be opened or a row has the wrong arity.
 class CsvWriter {
@@ -19,23 +38,19 @@ class CsvWriter {
   /// Write one row; each cell is formatted with operator<<.
   template <typename... Cells>
   void row(Cells&&... cells) {
-    if (sizeof...(cells) != columns_) {
-      throw_arity(sizeof...(cells));
-    }
-    std::ostringstream oss;
-    bool first = true;
-    ((oss << (first ? "" : ",") << cells, first = false), ...);
-    write_line(oss.str());
+    CsvRow r;
+    (r << ... << cells);
+    write(r);
   }
+
+  /// Write one runtime-arity row.
+  void write(const CsvRow& row);
 
   void flush();
   [[nodiscard]] std::size_t rows_written() const { return rows_; }
   [[nodiscard]] const std::string& path() const { return path_; }
 
  private:
-  void write_line(const std::string& line);
-  [[noreturn]] void throw_arity(std::size_t got) const;
-
   std::ofstream out_;
   std::string path_;
   std::size_t columns_ = 0;

@@ -5,6 +5,7 @@
 
 #include "fleet/options.hpp"
 #include "sim/faults.hpp"
+#include "sim/metrics.hpp"
 
 namespace pdsl::core {
 
@@ -227,27 +228,13 @@ json::Value result_to_json(const ExperimentResult& res) {
   o["resyncs"] = res.resyncs;
   o["resumed_from_round"] = res.resumed_from_round;
   json::Object phases;
-  phases["local_grad_s"] = res.phase_totals.local_grad_s;
-  phases["crossgrad_s"] = res.phase_totals.crossgrad_s;
-  phases["shapley_s"] = res.phase_totals.shapley_s;
-  phases["aggregate_s"] = res.phase_totals.aggregate_s;
-  phases["gossip_s"] = res.phase_totals.gossip_s;
+  for (const sim::RoundColumn& col : sim::kRoundColumns) {
+    if (col.phase != nullptr) phases[col.name] = res.phase_totals.*col.phase;
+  }
   o["phase_totals"] = json::Value(std::move(phases));
   json::Array series;
   for (const auto& m : res.series) {
-    json::Object row;
-    row["round"] = m.round;
-    row["avg_loss"] = m.avg_loss;
-    row["test_accuracy"] = m.test_accuracy;
-    row["consensus"] = m.consensus;
-    row["epsilon_spent"] = m.epsilon_spent;
-    if (m.byz_active > 0) {
-      row["byzantine_active"] = m.byz_active;
-      row["msgs_rejected"] = m.rejected;
-      row["pi_attacker"] = m.pi_attacker;
-      row["pi_honest"] = m.pi_honest;
-    }
-    series.push_back(json::Value(std::move(row)));
+    series.push_back(json::Value(sim::round_json(m, false)));
   }
   o["series"] = json::Value(std::move(series));
   return json::Value(std::move(o));

@@ -38,25 +38,35 @@ std::vector<float> average_model(const fleet::LazyMatrix& models) {
   return mean_of(ptrs);
 }
 
+const RoundColumn* find_round_column(const std::string& name) {
+  for (const RoundColumn& col : kRoundColumns) {
+    if (name == col.name) return &col;
+  }
+  return nullptr;
+}
+
+json::Object round_json(const RoundMetrics& m, bool volatile_columns) {
+  json::Object o;
+  if (volatile_columns) o["round"] = m.round;
+  for (const RoundColumn& col : kRoundColumns) {
+    if (col.is_volatile != volatile_columns) continue;
+    col.visit([&](const auto& v) { o[col.name] = v; }, m);
+  }
+  return o;
+}
+
 void write_metrics_csv(const std::string& path, const std::string& run_label,
                        const std::vector<RoundMetrics>& series) {
-  CsvWriter csv(path, {"run", "round", "avg_loss", "test_accuracy", "consensus", "grad_norm",
-                       "messages", "bytes", "dropped", "delayed", "offline", "stale_reused",
-                       "fallbacks", "byz_active", "corrupted", "rejected", "reclipped",
-                       "pi_attacker", "pi_honest", "epsilon_spent", "shapley_evals",
-                       "shapley_batched", "shapley_cache_hits", "shapley_cache_misses",
-                       "shapley_early_stops", "retransmits", "corrupt_detected", "dup_dropped",
-                       "reordered", "crashes", "resyncs", "elapsed_s", "round_s", "local_grad_s",
-                       "crossgrad_s", "shapley_s", "aggregate_s", "gossip_s"});
+  std::vector<std::string> header{"run"};
+  for (const RoundColumn& col : kRoundColumns) header.emplace_back(col.name);
+  CsvWriter csv(path, std::move(header));
   for (const auto& m : series) {
-    csv.row(run_label, m.round, m.avg_loss, m.test_accuracy, m.consensus, m.grad_norm,
-            m.messages, m.bytes, m.dropped, m.delayed, m.offline, m.stale_reused, m.fallbacks,
-            m.byz_active, m.corrupted, m.rejected, m.reclipped, m.pi_attacker, m.pi_honest,
-            m.epsilon_spent, m.shapley_evals, m.shapley_batched, m.shapley_cache_hits,
-            m.shapley_cache_misses, m.shapley_early_stops, m.retransmits, m.corrupt_detected,
-            m.dup_dropped, m.reordered, m.crashes, m.resyncs, m.elapsed_s, m.round_s,
-            m.phases.local_grad_s, m.phases.crossgrad_s, m.phases.shapley_s,
-            m.phases.aggregate_s, m.phases.gossip_s);
+    CsvRow row;
+    row << run_label;
+    for (const RoundColumn& col : kRoundColumns) {
+      col.visit([&](const auto& v) { row << v; }, m);
+    }
+    csv.write(row);
   }
   csv.flush();
 }

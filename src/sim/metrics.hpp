@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/csv.hpp"
+#include "common/json.hpp"
 #include "fleet/lazy_matrix.hpp"
 #include "obs/phase.hpp"
 
@@ -62,6 +63,90 @@ struct RoundMetrics {
   std::size_t resyncs = 0;          ///< crashed agents that got a neighbor resync
 };
 
+/// One column of the per-round metrics: its CSV name and the RoundMetrics
+/// member it reads. Exactly one of `count`, `real`, `phase` is set; phase
+/// columns live in RoundMetrics::phases. Volatile columns are wall-clock
+/// measurements, outside every bit-identity contract.
+struct RoundColumn {
+  const char* name;
+  std::size_t RoundMetrics::*count = nullptr;
+  double RoundMetrics::*real = nullptr;
+  double obs::PhaseTimings::*phase = nullptr;
+  bool is_volatile = false;
+
+  constexpr RoundColumn(const char* n, std::size_t RoundMetrics::*m) : name(n), count(m) {}
+  constexpr RoundColumn(const char* n, double RoundMetrics::*m, bool vol = false)
+      : name(n), real(m), is_volatile(vol) {}
+  constexpr RoundColumn(const char* n, double obs::PhaseTimings::*m, bool vol)
+      : name(n), phase(m), is_volatile(vol) {}
+
+  /// Call f with this column's member of each metrics record, all of the
+  /// same type (std::size_t or double); const-ness follows the records.
+  template <typename F, typename... M>
+  void visit(F&& f, M&... m) const {
+    if (count != nullptr) {
+      f((m.*count)...);
+    } else if (phase != nullptr) {
+      f((m.phases.*phase)...);
+    } else {
+      f((m.*real)...);
+    }
+  }
+};
+
+inline constexpr bool kVolatile = true;
+
+/// Every per-round metric, in CSV column order. CSV, run ledger, run-state
+/// files, result JSON and the determinism tests all iterate this table, so a
+/// new metric is one row here plus its assignment in algos::run_with_metrics.
+inline constexpr RoundColumn kRoundColumns[] = {
+    {"round", &RoundMetrics::round},
+    {"avg_loss", &RoundMetrics::avg_loss},
+    {"test_accuracy", &RoundMetrics::test_accuracy},
+    {"consensus", &RoundMetrics::consensus},
+    {"grad_norm", &RoundMetrics::grad_norm},
+    {"messages", &RoundMetrics::messages},
+    {"bytes", &RoundMetrics::bytes},
+    {"dropped", &RoundMetrics::dropped},
+    {"delayed", &RoundMetrics::delayed},
+    {"offline", &RoundMetrics::offline},
+    {"stale_reused", &RoundMetrics::stale_reused},
+    {"fallbacks", &RoundMetrics::fallbacks},
+    {"byz_active", &RoundMetrics::byz_active},
+    {"corrupted", &RoundMetrics::corrupted},
+    {"rejected", &RoundMetrics::rejected},
+    {"reclipped", &RoundMetrics::reclipped},
+    {"pi_attacker", &RoundMetrics::pi_attacker},
+    {"pi_honest", &RoundMetrics::pi_honest},
+    {"epsilon_spent", &RoundMetrics::epsilon_spent},
+    {"shapley_evals", &RoundMetrics::shapley_evals},
+    {"shapley_batched", &RoundMetrics::shapley_batched},
+    {"shapley_cache_hits", &RoundMetrics::shapley_cache_hits},
+    {"shapley_cache_misses", &RoundMetrics::shapley_cache_misses},
+    {"shapley_early_stops", &RoundMetrics::shapley_early_stops},
+    {"retransmits", &RoundMetrics::retransmits},
+    {"corrupt_detected", &RoundMetrics::corrupt_detected},
+    {"dup_dropped", &RoundMetrics::dup_dropped},
+    {"reordered", &RoundMetrics::reordered},
+    {"crashes", &RoundMetrics::crashes},
+    {"resyncs", &RoundMetrics::resyncs},
+    {"elapsed_s", &RoundMetrics::elapsed_s, kVolatile},
+    {"round_s", &RoundMetrics::round_s, kVolatile},
+    {"local_grad_s", &obs::PhaseTimings::local_grad_s, kVolatile},
+    {"crossgrad_s", &obs::PhaseTimings::crossgrad_s, kVolatile},
+    {"shapley_s", &obs::PhaseTimings::shapley_s, kVolatile},
+    {"aggregate_s", &obs::PhaseTimings::aggregate_s, kVolatile},
+    {"gossip_s", &obs::PhaseTimings::gossip_s, kVolatile},
+};
+
+/// The table row named `name`, or nullptr.
+const RoundColumn* find_round_column(const std::string& name);
+
+/// `m`'s deterministic columns, or (volatile_columns) its wall-clock columns
+/// plus "round", keyed by their CSV names: the run ledger's "round" and
+/// "phase_timing" events and the result JSON's series rows.
+json::Object round_json(const RoundMetrics& m, bool volatile_columns);
+
 /// Mean over agents of ||x_i - mean_j x_j||.
 double consensus_distance(const std::vector<std::vector<float>>& models);
 double consensus_distance(const fleet::LazyMatrix& models);
@@ -70,13 +155,8 @@ double consensus_distance(const fleet::LazyMatrix& models);
 std::vector<float> average_model(const std::vector<std::vector<float>>& models);
 std::vector<float> average_model(const fleet::LazyMatrix& models);
 
-/// Write a metrics series to CSV (columns: round, avg_loss, test_accuracy,
-/// consensus, grad_norm, messages, bytes, dropped, delayed, offline,
-/// stale_reused, fallbacks, byz_active, corrupted, rejected, reclipped,
-/// pi_attacker, pi_honest, epsilon_spent, shapley_evals, shapley_batched,
-/// shapley_cache_hits, shapley_cache_misses, shapley_early_stops, retransmits,
-/// corrupt_detected, dup_dropped, reordered, crashes, resyncs, elapsed_s,
-/// round_s, then one <phase>_s column per obs::Phase).
+/// Write a metrics series to CSV: a "run" column holding `run_label`, then
+/// one column per kRoundColumns row.
 void write_metrics_csv(const std::string& path, const std::string& run_label,
                        const std::vector<RoundMetrics>& series);
 

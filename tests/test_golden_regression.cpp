@@ -168,7 +168,8 @@ void run_scenario_to_csv(const Scenario& s, const std::string& path) {
 }
 
 bool is_timing_column(const std::string& name) {
-  return name.size() > 2 && name.compare(name.size() - 2, 2, "_s") == 0;
+  const auto* col = pdsl::sim::find_round_column(name);
+  return col != nullptr && col->is_volatile;
 }
 
 /// Per-column tolerance: pass iff |got - want| <= abs + rel * |want|.

@@ -12,8 +12,11 @@
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/json.hpp"
@@ -22,9 +25,11 @@
 #include "graph/topology.hpp"
 #include "io/checkpoint.hpp"
 #include "io/codec.hpp"
+#include "obs/ledger.hpp"
 #include "recovery/recovery.hpp"
 #include "recovery/run_state.hpp"
 #include "sim/faults.hpp"
+#include "sim/metrics.hpp"
 #include "sim/network.hpp"
 
 using namespace pdsl;
@@ -70,43 +75,17 @@ core::ExperimentConfig tiny_cfg() {
   return cfg;
 }
 
-/// Compare every deterministic RoundMetrics field (everything except the
-/// wall-clock "_s" columns and the phase breakdown).
+/// Compare every deterministic column (the volatile ones are wall clock).
 void expect_same_series(const std::vector<RoundMetrics>& a,
                         const std::vector<RoundMetrics>& b, const char* what) {
   ASSERT_EQ(a.size(), b.size()) << what;
   for (std::size_t i = 0; i < a.size(); ++i) {
     SCOPED_TRACE(std::string(what) + " round " + std::to_string(i));
-    EXPECT_EQ(a[i].round, b[i].round);
-    EXPECT_EQ(a[i].avg_loss, b[i].avg_loss);
-    EXPECT_EQ(a[i].test_accuracy, b[i].test_accuracy);
-    EXPECT_EQ(a[i].consensus, b[i].consensus);
-    EXPECT_EQ(a[i].grad_norm, b[i].grad_norm);
-    EXPECT_EQ(a[i].messages, b[i].messages);
-    EXPECT_EQ(a[i].bytes, b[i].bytes);
-    EXPECT_EQ(a[i].dropped, b[i].dropped);
-    EXPECT_EQ(a[i].delayed, b[i].delayed);
-    EXPECT_EQ(a[i].offline, b[i].offline);
-    EXPECT_EQ(a[i].stale_reused, b[i].stale_reused);
-    EXPECT_EQ(a[i].fallbacks, b[i].fallbacks);
-    EXPECT_EQ(a[i].byz_active, b[i].byz_active);
-    EXPECT_EQ(a[i].corrupted, b[i].corrupted);
-    EXPECT_EQ(a[i].rejected, b[i].rejected);
-    EXPECT_EQ(a[i].reclipped, b[i].reclipped);
-    EXPECT_EQ(a[i].pi_attacker, b[i].pi_attacker);
-    EXPECT_EQ(a[i].pi_honest, b[i].pi_honest);
-    EXPECT_EQ(a[i].epsilon_spent, b[i].epsilon_spent);
-    EXPECT_EQ(a[i].shapley_evals, b[i].shapley_evals);
-    EXPECT_EQ(a[i].shapley_batched, b[i].shapley_batched);
-    EXPECT_EQ(a[i].shapley_cache_hits, b[i].shapley_cache_hits);
-    EXPECT_EQ(a[i].shapley_cache_misses, b[i].shapley_cache_misses);
-    EXPECT_EQ(a[i].shapley_early_stops, b[i].shapley_early_stops);
-    EXPECT_EQ(a[i].retransmits, b[i].retransmits);
-    EXPECT_EQ(a[i].corrupt_detected, b[i].corrupt_detected);
-    EXPECT_EQ(a[i].dup_dropped, b[i].dup_dropped);
-    EXPECT_EQ(a[i].reordered, b[i].reordered);
-    EXPECT_EQ(a[i].crashes, b[i].crashes);
-    EXPECT_EQ(a[i].resyncs, b[i].resyncs);
+    for (const auto& col : kRoundColumns) {
+      if (col.is_volatile) continue;
+      col.visit([&](const auto& x, const auto& y) { EXPECT_EQ(x, y) << col.name; }, a[i],
+                b[i]);
+    }
   }
 }
 
@@ -588,4 +567,131 @@ TEST(ResumeTest, RunStateRoundTripsAndDetectsDamage) {
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
   EXPECT_THROW(recovery::load_run_state(path, 0), std::runtime_error);
+}
+
+// ---------------------------------------------------------------------------
+// The round-metrics column table drives every sink
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Two rows whose every column holds a value distinct from all the others,
+/// set through the table.
+std::vector<RoundMetrics> distinct_series() {
+  std::vector<RoundMetrics> series(2);
+  for (std::size_t r = 0; r < series.size(); ++r) {
+    for (std::size_t k = 0; k < std::size(kRoundColumns); ++k) {
+      kRoundColumns[k].visit(
+          [&](auto& v) { v = static_cast<std::decay_t<decltype(v)>>(100 * r + k + 1.25); },
+          series[r]);
+    }
+  }
+  return series;
+}
+
+template <typename T>
+std::string csv_cell(const T& v) {
+  std::ostringstream oss;
+  oss << v;
+  return oss.str();
+}
+
+}  // namespace
+
+TEST(RoundColumns, EveryColumnSurvivesCsvRunStateAndLedger) {
+  const auto series = distinct_series();
+  ASSERT_NE(series[0].avg_loss, series[0].test_accuracy);
+  ASSERT_EQ(series[1].round, 101u);
+
+  // CSV: a "run" column, then one column per table row.
+  const std::string csv = "/tmp/pdsl_columns_roundtrip.csv";
+  write_metrics_csv(csv, "unit", series);
+  const auto rows = pdsl::read_csv(csv);
+  ASSERT_EQ(rows.size(), 1 + series.size());
+  ASSERT_EQ(rows[0].size(), 1 + std::size(kRoundColumns));
+  EXPECT_EQ(rows[0][0], "run");
+  for (std::size_t k = 0; k < std::size(kRoundColumns); ++k) {
+    const auto& col = kRoundColumns[k];
+    EXPECT_EQ(rows[0][k + 1], col.name);
+    for (std::size_t r = 0; r < series.size(); ++r) {
+      col.visit([&](const auto& v) { EXPECT_EQ(rows[r + 1][k + 1], csv_cell(v)) << col.name; },
+                series[r]);
+    }
+  }
+
+  // Run state: every column, volatile ones included, bit for bit.
+  const std::string state = "/tmp/pdsl_columns_roundtrip.bin";
+  recovery::RunState st;
+  st.resume.prior_series = series;
+  recovery::save_run_state(state, st);
+  const auto back = recovery::load_run_state(state, 0).resume.prior_series;
+  ASSERT_EQ(back.size(), series.size());
+  for (std::size_t r = 0; r < series.size(); ++r) {
+    for (const auto& col : kRoundColumns) {
+      col.visit([&](const auto& x, const auto& y) { EXPECT_EQ(x, y) << col.name; }, series[r],
+                back[r]);
+    }
+  }
+
+  // Ledger: deterministic columns in "round", wall-clock ones (plus the
+  // round index) in "phase_timing".
+  const std::string ledger_path = "/tmp/pdsl_columns_roundtrip.jsonl";
+  {
+    obs::RunLedger ledger;
+    ledger.open(ledger_path);
+    for (const auto& m : series) {
+      ledger.event("round", round_json(m, false));
+      ledger.event(obs::RunLedger::kTimingEvent, round_json(m, true));
+    }
+  }
+  std::ifstream in(ledger_path);
+  std::vector<json::Value> events;
+  for (std::string line; std::getline(in, line);) events.push_back(json::parse(line));
+  ASSERT_EQ(events.size(), 2 * series.size());
+  for (std::size_t r = 0; r < series.size(); ++r) {
+    const json::Value& det = events[2 * r];
+    const json::Value& timing = events[2 * r + 1];
+    EXPECT_EQ(timing.at("round").as_number(), static_cast<double>(series[r].round));
+    for (const auto& col : kRoundColumns) {
+      const json::Value& has = col.is_volatile ? timing : det;
+      const json::Value& lacks = col.is_volatile ? det : timing;
+      col.visit(
+          [&](const auto& v) {
+            ASSERT_TRUE(has.contains(col.name)) << col.name;
+            EXPECT_EQ(has.at(col.name).as_number(), static_cast<double>(v)) << col.name;
+          },
+          series[r]);
+      if (std::string(col.name) != "round") {
+        EXPECT_FALSE(lacks.contains(col.name)) << col.name;
+      }
+    }
+  }
+  std::remove(csv.c_str());
+  std::remove(state.c_str());
+  std::remove(ledger_path.c_str());
+}
+
+TEST(RoundColumns, RunStateFromAnotherColumnLayoutIsRefused) {
+  const std::string path = "/tmp/pdsl_columns_old.bin";
+  io::ByteBuffer body;
+  io::append_u64(body, 0);
+  // PDSLRUN1 files held the same number of 8-byte fields per round in
+  // another order; they must be refused, not read shuffled.
+  io::save_blob(path, 0x5044534C52554E31ULL, body, "test");
+  try {
+    (void)recovery::load_run_state(path, 0);
+    FAIL() << "a PDSLRUN1 file was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("bad magic"), std::string::npos) << e.what();
+  }
+  // Current magic, but written under another column table.
+  io::save_blob(path, recovery::kRunStateMagic, body, "test");
+  try {
+    (void)recovery::load_run_state(path, 0);
+    FAIL() << "a file from another column table was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("different set of round metrics"), std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
 }
