@@ -184,7 +184,8 @@ int main(int argc, char** argv) {
     gate["pdsl_robust_pi_attacker_round10"] = robust_pi_att_r10;
     gate["pdsl_robust_pi_honest_round10"] = robust_pi_hon_r10;
     gate["passed"] = ok;
-    env.set_acceptance(std::move(gate));
+    // Each check arms only when its sweep point ran (-1 otherwise).
+    env.set_acceptance(std::move(gate), dpsgd_acc_25 >= 0.0 && robust_pi_att_r10 >= 0.0);
   }
   if (!env.write(out_path)) return 1;
   return ok ? 0 : 1;

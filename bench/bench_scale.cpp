@@ -215,7 +215,7 @@ int main(int argc, char** argv) {
     gate["threads_bit_identical"] = threads_ok;
     gate["model_hash"] = model_hash(a.average_model);
     gate["passed"] = rerun_ok && threads_ok;
-    env.set_acceptance(std::move(gate));
+    env.set_acceptance(std::move(gate), true);
   }
 
   if (!env.write(out_path)) return 1;

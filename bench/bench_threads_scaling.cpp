@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
   pdsl::json::Object gate;
   gate["bit_identical_across_widths"] = bitwise_ok;
   gate["passed"] = bitwise_ok;
-  env.set_acceptance(std::move(gate));
+  env.set_acceptance(std::move(gate), true);
   if (!env.write(out_path)) return 1;
   if (!bitwise_ok) {
     std::fprintf(stderr,

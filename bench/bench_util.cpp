@@ -254,8 +254,9 @@ void BenchEnvelope::set_faults(json::Value faults) { faults_ = std::move(faults)
 void BenchEnvelope::set_adversary(json::Value adversary) {
   adversary_ = std::move(adversary);
 }
-void BenchEnvelope::set_acceptance(json::Object acceptance) {
+void BenchEnvelope::set_acceptance(json::Object acceptance, bool armed) {
   acceptance_ = std::move(acceptance);
+  acceptance_["armed"] = armed;
   has_acceptance_ = true;
 }
 

@@ -129,8 +129,10 @@ class BenchEnvelope {
   void set_config(json::Object cfg);
   void set_faults(json::Value faults);
   void set_adversary(json::Value adversary);
-  /// Pass/fail gate values for benches that double as contracts.
-  void set_acceptance(json::Object acceptance);
+  /// Pass/fail gate values for benches that double as contracts. `armed` is
+  /// false when any of the gate's checks could not run (too small a config,
+  /// a waived measurement); the driver then reports the gate as SKIPPED.
+  void set_acceptance(json::Object acceptance, bool armed);
 
   /// Append one observation to the named series; median/min/max are computed
   /// over all samples at to_json() time. Units are free-form but stable

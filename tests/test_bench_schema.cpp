@@ -123,6 +123,10 @@ TEST(BenchSchema, EveryCheckedInEnvelopeIsSchemaV1) {
       ASSERT_TRUE(doc.at("acceptance").is_object());
       EXPECT_TRUE(doc.at("acceptance").contains("passed") &&
                   doc.at("acceptance").at("passed").is_bool());
+      // Optional; a missing key means the gate was armed.
+      if (doc.at("acceptance").contains("armed")) {
+        EXPECT_TRUE(doc.at("acceptance").at("armed").is_bool());
+      }
     }
   }
 }

@@ -230,6 +230,9 @@ def validate_envelope(doc, path="<doc>"):
         acc = need(doc, "acceptance", dict, path)
         if acc is not None:
             need(acc, "passed", bool, f"{path}.acceptance")
+            # Optional: a missing key means the gate was armed.
+            if "armed" in acc and not isinstance(acc["armed"], bool):
+                errs.append(f"{path}.acceptance: 'armed' must be a bool")
     return errs
 
 
@@ -309,6 +312,12 @@ def merge_envelopes(envelopes):
         m["min"] = min(s)
         m["max"] = max(s)
     merged["metrics"] = metrics
+    # A gate passed (was armed) only if it did in every repeat.
+    gates = [env["acceptance"] for env in envelopes if "acceptance" in env]
+    if gates:
+        merged["acceptance"] = dict(gates[0],
+                                    passed=all(g.get("passed") for g in gates),
+                                    armed=all(g.get("armed", True) for g in gates))
     return merged
 
 
@@ -339,6 +348,14 @@ def load_history():
     return entries
 
 
+def gate_status(acc):
+    """FAIL if a check failed, SKIPPED if some check could not run (armed is
+    false), else PASS."""
+    if not acc.get("passed"):
+        return "FAIL"
+    return "PASS" if acc.get("armed", True) else "SKIPPED"
+
+
 def append_history(doc):
     entry = {
         "timestamp": datetime.datetime.now(datetime.timezone.utc)
@@ -350,6 +367,7 @@ def append_history(doc):
     }
     if "acceptance" in doc:
         entry["acceptance_passed"] = doc["acceptance"].get("passed")
+        entry["acceptance_armed"] = doc["acceptance"].get("armed", True)
     with open(history_path(), "a") as f:
         f.write(json.dumps(entry, sort_keys=True) + "\n")
     return entry
@@ -397,9 +415,9 @@ def render_report(docs, history, ab_section):
         lines.append("## Acceptance gates")
         lines.append("")
         for bench, acc in gates:
-            status = "PASS" if acc.get("passed") else "FAIL"
+            status = gate_status(acc)
             detail = ", ".join(f"{k}={fmt(v) if isinstance(v, (int, float)) else v}"
-                               for k, v in sorted(acc.items()) if k != "passed")
+                               for k, v in sorted(acc.items()) if k not in ("passed", "armed"))
             lines.append(f"- **{bench}**: {status} ({detail})")
         lines.append("")
 
