@@ -19,7 +19,6 @@ struct RoundMetrics {
   double avg_loss = 0.0;        ///< mean over agents of F_i(x_i) on local eval data
   double test_accuracy = 0.0;   ///< mean over agents of accuracy(x_i) on the test set
   double consensus = 0.0;       ///< mean over agents of ||x_i - x_bar||_2
-  double grad_norm = 0.0;       ///< ||grad of F at x_bar|| proxy if recorded (else 0)
   std::size_t messages = 0;     ///< cumulative network messages so far
   std::size_t bytes = 0;        ///< cumulative network bytes so far
   double elapsed_s = 0.0;       ///< cumulative run wall time after this round
@@ -104,7 +103,6 @@ inline constexpr RoundColumn kRoundColumns[] = {
     {"avg_loss", &RoundMetrics::avg_loss},
     {"test_accuracy", &RoundMetrics::test_accuracy},
     {"consensus", &RoundMetrics::consensus},
-    {"grad_norm", &RoundMetrics::grad_norm},
     {"messages", &RoundMetrics::messages},
     {"bytes", &RoundMetrics::bytes},
     {"dropped", &RoundMetrics::dropped},
