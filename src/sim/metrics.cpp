@@ -1,5 +1,6 @@
 #include "sim/metrics.hpp"
 
+#include <sstream>
 #include <stdexcept>
 
 #include "common/vec_math.hpp"
@@ -38,11 +39,26 @@ std::vector<float> average_model(const fleet::LazyMatrix& models) {
   return mean_of(ptrs);
 }
 
-const RoundColumn* find_round_column(const std::string& name) {
-  for (const RoundColumn& col : kRoundColumns) {
-    if (name == col.name) return &col;
+std::string deterministic_mismatch(const std::vector<RoundMetrics>& a,
+                                   const std::vector<RoundMetrics>& b) {
+  if (a.size() != b.size()) {
+    return "length " + std::to_string(a.size()) + " vs " + std::to_string(b.size());
   }
-  return nullptr;
+  std::ostringstream diff;
+  diff.precision(17);
+  for (std::size_t r = 0; r < a.size(); ++r) {
+    for (const RoundColumn& col : kRoundColumns) {
+      if (col.is_volatile) continue;
+      col.visit(
+          [&](const auto& x, const auto& y) {
+            if (x != y && diff.tellp() == 0) {
+              diff << "round " << a[r].round << ' ' << col.name << ": " << x << " vs " << y;
+            }
+          },
+          a[r], b[r]);
+    }
+  }
+  return diff.str();
 }
 
 json::Object round_json(const RoundMetrics& m, bool volatile_columns) {

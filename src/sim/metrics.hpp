@@ -137,8 +137,11 @@ inline constexpr RoundColumn kRoundColumns[] = {
     {"gossip_s", &obs::PhaseTimings::gossip_s, kVolatile},
 };
 
-/// The table row named `name`, or nullptr.
-const RoundColumn* find_round_column(const std::string& name);
+/// "" when the two series have the same length and agree exactly on every
+/// deterministic column, else the first difference ("round 3 avg_loss: 0.25
+/// vs 0.5"). The determinism tests compare runs with it.
+std::string deterministic_mismatch(const std::vector<RoundMetrics>& a,
+                                   const std::vector<RoundMetrics>& b);
 
 /// `m`'s deterministic columns, or (volatile_columns) its wall-clock columns
 /// plus "round", keyed by their CSV names: the run ledger's "round" and

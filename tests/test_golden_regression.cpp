@@ -168,8 +168,10 @@ void run_scenario_to_csv(const Scenario& s, const std::string& path) {
 }
 
 bool is_timing_column(const std::string& name) {
-  const auto* col = pdsl::sim::find_round_column(name);
-  return col != nullptr && col->is_volatile;
+  for (const auto& col : pdsl::sim::kRoundColumns) {
+    if (name == col.name) return col.is_volatile;
+  }
+  return false;
 }
 
 /// Per-column tolerance: pass iff |got - want| <= abs + rel * |want|.

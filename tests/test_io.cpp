@@ -288,57 +288,41 @@ TEST(Blob, BodyCorruptionIsCaughtByTheChecksum) {
 }
 
 // ---------------------------------------------------------------------------
-// ByteReader length prefixes: a corrupted length throws before it sizes an
-// allocation.
+// Length prefixes: a corrupted length throws before it sizes an allocation.
 // ---------------------------------------------------------------------------
 
 namespace {
-void expect_truncated(const std::function<void()>& read) {
+std::string error_of(const std::function<void()>& read) {
   try {
     read();
-    FAIL() << "expected a truncated-read throw";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos) << e.what();
+    return e.what();
   }
+  return "";
 }
 }  // namespace
 
 TEST(ByteReader, OversizedLengthPrefixesThrowTruncated) {
   io::ByteBuffer buf;
   io::append_u32(buf, 0xFFFFFFF0u);  // string length far past the buffer
-  io::append_raw(buf, "abc", 3);
-  expect_truncated([&] {
-    io::ByteReader r(buf, "test");
-    (void)r.read_string("tag");
-  });
-
-  io::ByteBuffer floats;
-  io::append_u64(floats, 0x4000000000000001ULL);  // count * 4 wraps past 2^64
-  expect_truncated([&] {
-    io::ByteReader r(floats, "test");
-    (void)r.read_floats("payload");
-  });
-
-  io::ByteBuffer count;
-  io::append_u64(count, 3);
-  io::append_u64(count, 0);
-  io::append_u64(count, 0);  // room for two 8-byte elements, not three
-  expect_truncated([&] {
-    io::ByteReader r(count, "test");
-    (void)r.read_count("series", 8);
-  });
-  io::ByteReader ok(count, "test");
-  EXPECT_EQ(ok.read_count("series", 4), 3u);
+  io::append_u64(buf, 2);            // ... or, read as a count, room for one u64
+  io::ByteReader string_reader(buf, "test");
+  EXPECT_NE(error_of([&] { (void)string_reader.read_string("tag"); }).find("truncated"),
+            std::string::npos);
+  io::ByteReader count_reader(buf, "test");
+  (void)count_reader.read_u32("pad");
+  EXPECT_NE(error_of([&] { (void)count_reader.read_count("n", 8); }).find("truncated"),
+            std::string::npos);
 }
 
 TEST(Blob, OversizedBodyLengthIsRefusedBeforeAllocating) {
   const std::string path = "/tmp/pdsl_blob_oversize.bin";
   save_blob(path, kTestMagic, sample_body(), "blob-test");
-  // Patch the body-size word (bytes 16..24) to claim far more than the file.
   std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-  f.seekp(16);
+  f.seekp(16);  // the body-size word
   const std::uint64_t huge = 0x00FFFFFFFFFFFFF0ULL;
   f.write(reinterpret_cast<const char*>(&huge), sizeof(huge));
   f.close();
-  expect_truncated([&] { (void)load_blob(path, kTestMagic, "blob-test"); });
+  EXPECT_NE(error_of([&] { (void)load_blob(path, kTestMagic, "blob-test"); }).find("truncated"),
+            std::string::npos);
 }

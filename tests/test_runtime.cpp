@@ -187,14 +187,7 @@ void expect_bit_identical(const core::ExperimentResult& a,
   ASSERT_EQ(a.average_model.size(), b.average_model.size());
   EXPECT_TRUE(a.average_model == b.average_model);
   // Every deterministic column exact (the volatile ones are wall clock).
-  ASSERT_EQ(a.series.size(), b.series.size());
-  for (std::size_t r = 0; r < a.series.size(); ++r) {
-    for (const auto& col : sim::kRoundColumns) {
-      if (col.is_volatile) continue;
-      col.visit([&](const auto& x, const auto& y) { EXPECT_EQ(x, y) << col.name << " round " << r; },
-                a.series[r], b.series[r]);
-    }
-  }
+  EXPECT_EQ(sim::deterministic_mismatch(a.series, b.series), "");
   EXPECT_EQ(a.messages, b.messages);
   EXPECT_EQ(a.bytes, b.bytes);
   EXPECT_EQ(a.final_loss, b.final_loss);

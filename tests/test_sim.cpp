@@ -165,18 +165,3 @@ TEST(Metrics, AverageModel) {
   EXPECT_FLOAT_EQ(avg[1], 1.0f);
   EXPECT_THROW(average_model(std::vector<std::vector<float>>{}), std::invalid_argument);
 }
-
-TEST(Metrics, CsvRoundTrip) {
-  const std::string path = "/tmp/pdsl_metrics_test.csv";
-  std::vector<RoundMetrics> series(2);
-  series[0].round = 1;
-  series[0].avg_loss = 2.5;
-  series[1].round = 2;
-  series[1].test_accuracy = 0.75;
-  write_metrics_csv(path, "unit", series);
-  const auto rows = pdsl::read_csv(path);
-  ASSERT_EQ(rows.size(), 3u);  // header + 2
-  EXPECT_EQ(rows[0][0], "run");
-  EXPECT_EQ(rows[1][1], "1");
-  EXPECT_EQ(rows[2][0], "unit");
-}
