@@ -309,7 +309,8 @@ TEST(Wire, EverySingleBitFlipIsRejectedOrHarmless) {
       ++rejected;
       continue;
     }
-    EXPECT_TRUE(pdsl::fleet::wire_equal(*back, m)) << "bit " << bit << " decoded to another message";
+    EXPECT_TRUE(pdsl::fleet::wire_equal(*back, m))
+        << "bit " << bit << " decoded to another message";
   }
   // FNV-1a's per-byte step is a bijection, so any single-byte change alters
   // the checksum: every flip is in fact rejected.

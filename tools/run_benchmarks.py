@@ -348,14 +348,6 @@ def load_history():
     return entries
 
 
-def gate_status(acc):
-    """FAIL if a check failed, SKIPPED if some check could not run (armed is
-    false), else PASS."""
-    if not acc.get("passed"):
-        return "FAIL"
-    return "PASS" if acc.get("armed", True) else "SKIPPED"
-
-
 def append_history(doc):
     entry = {
         "timestamp": datetime.datetime.now(datetime.timezone.utc)
@@ -367,7 +359,6 @@ def append_history(doc):
     }
     if "acceptance" in doc:
         entry["acceptance_passed"] = doc["acceptance"].get("passed")
-        entry["acceptance_armed"] = doc["acceptance"].get("armed", True)
     with open(history_path(), "a") as f:
         f.write(json.dumps(entry, sort_keys=True) + "\n")
     return entry
@@ -415,7 +406,9 @@ def render_report(docs, history, ab_section):
         lines.append("## Acceptance gates")
         lines.append("")
         for bench, acc in gates:
-            status = gate_status(acc)
+            # SKIPPED: passed, but some check could not run.
+            status = ("FAIL" if not acc.get("passed")
+                      else "PASS" if acc.get("armed", True) else "SKIPPED")
             detail = ", ".join(f"{k}={fmt(v) if isinstance(v, (int, float)) else v}"
                                for k, v in sorted(acc.items()) if k not in ("passed", "armed"))
             lines.append(f"- **{bench}**: {status} ({detail})")
