@@ -305,7 +305,7 @@ std::string error_of(const std::function<void()>& read) {
 TEST(ByteReader, OversizedLengthPrefixesThrowTruncated) {
   io::ByteBuffer buf;
   io::append_u32(buf, 0xFFFFFFF0u);  // string length far past the buffer
-  io::append_u64(buf, 2);            // ... or, read as a count, room for one u64
+  io::append_u64(buf, 2);            // a count of 2 with no bytes behind it
   io::ByteReader string_reader(buf, "test");
   EXPECT_NE(error_of([&] { (void)string_reader.read_string("tag"); }).find("truncated"),
             std::string::npos);
