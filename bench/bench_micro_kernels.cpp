@@ -337,11 +337,11 @@ static void BM_MonteCarloShapley(benchmark::State& state) {
   const auto perms = static_cast<std::size_t>(state.range(1));
   Rng rng(5);
   for (auto _ : state) {
-    shapley::CachedGame game(players, [](const std::vector<std::size_t>& c) {
+    shapley::Game game(players, shapley::batch_of([](const std::vector<std::size_t>& c) {
       double v = 0.0;
       for (std::size_t p : c) v += static_cast<double>(p + 1);
       return v / 100.0;
-    });
+    }));
     benchmark::DoNotOptimize(shapley::monte_carlo_shapley(game, perms, rng));
   }
 }
@@ -350,11 +350,11 @@ BENCHMARK(BM_MonteCarloShapley)->Args({6, 8})->Args({10, 8})->Args({20, 10});
 static void BM_ExactShapley(benchmark::State& state) {
   const auto players = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    shapley::CachedGame game(players, [](const std::vector<std::size_t>& c) {
+    shapley::Game game(players, shapley::batch_of([](const std::vector<std::size_t>& c) {
       double v = 0.0;
       for (std::size_t p : c) v += static_cast<double>(p + 1);
       return v / 100.0;
-    });
+    }));
     benchmark::DoNotOptimize(shapley::exact_shapley(game));
   }
 }

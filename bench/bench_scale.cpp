@@ -129,7 +129,7 @@ int main(int argc, char** argv) {
                 cfg.fleet.participation.active, mspr, res.workers_peak,
                 res.models_materialized, heap_mb, rss_mb, mb(res.wire_bytes));
 
-    const std::string prefix = "n" + std::to_string(agents);
+    const std::string prefix = std::string("n").append(std::to_string(agents));
     env.add_metric_sample(prefix + ".ms_per_round", "ms", mspr);
     env.add_metric_sample(prefix + ".heap_mb", "MB", heap_mb);
     env.add_metric_sample(prefix + ".peak_rss_mb", "MB", rss_mb);

@@ -2,9 +2,7 @@
 // ablation_mc_shapley binaries). Three sections:
 //
 //  perf      — the hot-path contract. One PDSL testbed (8 agents, full graph,
-//              mnist_like mlp) run four ways: the sequential reference path,
-//              --shapley-eval batched (stacked-GEMM coalition scoring + the
-//              cross-round value cache; BIT-IDENTICAL to sequential),
+//              mnist_like mlp) run three ways: the sequential reference path,
 //              --shapley-eval linear (coalitions scored via first-layer
 //              linearity — per-member pre-activations computed once, each
 //              coalition a cheap average + the small later layers), and
@@ -12,8 +10,7 @@
 //              early stop) — the full S-SHAP fast path. Reports per-round
 //              wall time, the shapley phase alone, and the speedups; at full
 //              scale the acceptance gate requires linear+adaptive to hold
-//              >= 5x on the shapley phase and >= 4x end-to-end while (a) the
-//              batched mc run is BIT-IDENTICAL to sequential mc and (b) every
+//              >= 5x on the shapley phase and >= 4x end-to-end while every
 //              fast variant preserves each agent's top-1 pi up to
 //              characteristic-quantization ties.
 //  quality   — estimator error vs exact enumeration (Eq. 18): the Monte Carlo
@@ -98,7 +95,7 @@ struct PerfRun {
 };
 
 PerfRun run_perf_variant(const Bed& bed, std::uint64_t seed, std::size_t rounds,
-                         const std::string& eval, const std::string& method,
+                         algos::ShapleyEval eval, algos::ShapleyMethod method,
                          std::size_t perms) {
   algos::Env e = bed.env(seed);
   e.hp.shapley_eval = eval;
@@ -128,8 +125,8 @@ PerfRun run_perf_variant(const Bed& bed, std::uint64_t seed, std::size_t rounds,
 /// trajectory-level ranking claims live in bench_byzantine's attacker-pi
 /// collapse check, which the S-SHAP gate requires to stay green separately).
 std::vector<std::vector<double>> probe_phi(const Bed& bed, std::uint64_t seed,
-                                           const std::string& eval,
-                                           const std::string& method, std::size_t perms) {
+                                           algos::ShapleyEval eval,
+                                           algos::ShapleyMethod method, std::size_t perms) {
   algos::Env e = bed.env(seed);
   e.hp.shapley_eval = eval;
   e.hp.shapley_method = method;
@@ -207,45 +204,44 @@ int main(int argc, char** argv) {
   if (want("perf")) {
     const std::size_t rounds = rounds_flag != 0 ? rounds_flag : 6;
     const Bed bed = Bed::make(agents, seed);
-    std::printf("==== S-SHAP perf: sequential vs batched vs linear(+adaptive) ====\n");
+    std::printf("==== S-SHAP perf: sequential vs linear(+adaptive) ====\n");
     std::printf("M=%zu rounds=%zu mc_perms=%zu (mnist_like mlp, full graph)\n", agents,
                 rounds, mc_perms);
 
-    const auto seq = run_perf_variant(bed, seed, rounds, "sequential", "mc", mc_perms);
-    const auto bat = run_perf_variant(bed, seed, rounds, "batched", "mc", mc_perms);
-    const auto lin = run_perf_variant(bed, seed, rounds, "linear", "mc", mc_perms);
-    const auto ada = run_perf_variant(bed, seed, rounds, "linear", "adaptive", mc_perms);
+    using algos::ShapleyEval;
+    using algos::ShapleyMethod;
+    const auto seq =
+        run_perf_variant(bed, seed, rounds, ShapleyEval::kSequential, ShapleyMethod::kMc, mc_perms);
+    const auto lin =
+        run_perf_variant(bed, seed, rounds, ShapleyEval::kLinear, ShapleyMethod::kMc, mc_perms);
+    const auto ada = run_perf_variant(bed, seed, rounds, ShapleyEval::kLinear,
+                                      ShapleyMethod::kAdaptive, mc_perms);
 
-    const bool bit_identical = seq.models == bat.models;
     const double tie_tol = 1.0 / 32.0;  // one validation-batch quantum
-    const auto ref_phi = probe_phi(bed, seed, "sequential", "mc", mc_perms);
-    const bool top1_bat = top1_preserved(
-        "batched", ref_phi, probe_phi(bed, seed, "batched", "mc", mc_perms), tie_tol);
+    const auto ref_phi =
+        probe_phi(bed, seed, ShapleyEval::kSequential, ShapleyMethod::kMc, mc_perms);
     const bool top1_lin = top1_preserved(
-        "linear", ref_phi, probe_phi(bed, seed, "linear", "mc", mc_perms), tie_tol);
+        "linear", ref_phi,
+        probe_phi(bed, seed, ShapleyEval::kLinear, ShapleyMethod::kMc, mc_perms), tie_tol);
     const bool top1_ada = top1_preserved(
-        "adaptive", ref_phi, probe_phi(bed, seed, "linear", "adaptive", mc_perms), tie_tol);
-    const bool top1_ok = top1_bat && top1_lin && top1_ada;
-    const double shap_speedup_bat = seq.shapley_ms / std::max(bat.shapley_ms, 1e-9);
+        "adaptive", ref_phi,
+        probe_phi(bed, seed, ShapleyEval::kLinear, ShapleyMethod::kAdaptive, mc_perms), tie_tol);
+    const bool top1_ok = top1_lin && top1_ada;
     const double shap_speedup_lin = seq.shapley_ms / std::max(lin.shapley_ms, 1e-9);
     const double shap_speedup_ada = seq.shapley_ms / std::max(ada.shapley_ms, 1e-9);
-    const double round_speedup_bat = seq.round_ms / std::max(bat.round_ms, 1e-9);
     const double round_speedup_lin = seq.round_ms / std::max(lin.round_ms, 1e-9);
     const double round_speedup_ada = seq.round_ms / std::max(ada.round_ms, 1e-9);
 
     CsvWriter csv("bench_results/shapley_perf.csv",
                   {"variant", "round_ms", "shapley_ms", "coalition_evals",
-                   "coalitions_batched", "cache_hits", "permutations_used",
-                   "early_stopped", "test_accuracy"});
-    std::printf("%22s %10s %12s %8s %8s %8s %6s %9s\n", "variant", "round_ms",
-                "shapley_ms", "evals", "batched", "cachehit", "perms", "accuracy");
+                   "permutations_used", "early_stopped", "test_accuracy"});
+    std::printf("%22s %10s %12s %8s %6s %9s\n", "variant", "round_ms", "shapley_ms", "evals",
+                "perms", "accuracy");
     const auto report = [&](const char* name, const PerfRun& r) {
-      std::printf("%22s %10.2f %12.2f %8zu %8zu %8zu %6zu %9.3f\n", name, r.round_ms,
-                  r.shapley_ms, r.stats.coalition_evals, r.stats.coalitions_batched,
-                  r.stats.cache_hits, r.stats.permutations_used, r.accuracy);
+      std::printf("%22s %10.2f %12.2f %8zu %6zu %9.3f\n", name, r.round_ms, r.shapley_ms,
+                  r.stats.coalition_evals, r.stats.permutations_used, r.accuracy);
       csv.row(name, r.round_ms, r.shapley_ms, r.stats.coalition_evals,
-              r.stats.coalitions_batched, r.stats.cache_hits, r.stats.permutations_used,
-              r.stats.early_stopped, r.accuracy);
+              r.stats.permutations_used, r.stats.early_stopped, r.accuracy);
       const std::string p = std::string("perf.") + name;
       env.add_metric_sample(p + ".round_ms", "ms", r.round_ms);
       env.add_metric_sample(p + ".shapley_ms", "ms", r.shapley_ms);
@@ -257,40 +253,26 @@ int main(int argc, char** argv) {
       run["round_ms"] = r.round_ms;
       run["shapley_ms"] = r.shapley_ms;
       run["coalition_evals"] = r.stats.coalition_evals;
-      run["coalitions_batched"] = r.stats.coalitions_batched;
-      run["cache_hits"] = r.stats.cache_hits;
-      run["cache_misses"] = r.stats.cache_misses;
       run["permutations_used"] = r.stats.permutations_used;
       run["early_stopped"] = r.stats.early_stopped;
       run["test_accuracy"] = r.accuracy;
       env.add_run(std::move(run));
     };
     report("sequential_mc", seq);
-    report("batched_mc", bat);
     report("linear_mc", lin);
     report("linear_adaptive", ada);
     csv.flush();
-    std::printf("speedup: batched %.2fx shapley / %.2fx round; "
-                "linear %.2fx / %.2fx; linear+adaptive %.2fx / %.2fx\n",
-                shap_speedup_bat, round_speedup_bat, shap_speedup_lin, round_speedup_lin,
-                shap_speedup_ada, round_speedup_ada);
-    std::printf("batched bit-identical to sequential: %s; top-1 pi preserved: %s\n",
-                bit_identical ? "yes" : "NO", top1_ok ? "yes" : "NO");
-    env.add_metric_sample("perf.batched.shapley_speedup_x", "x", shap_speedup_bat);
-    env.add_metric_sample("perf.batched.round_speedup_x", "x", round_speedup_bat);
+    std::printf("speedup: linear %.2fx shapley / %.2fx round; linear+adaptive %.2fx / %.2fx\n",
+                shap_speedup_lin, round_speedup_lin, shap_speedup_ada, round_speedup_ada);
+    std::printf("top-1 pi preserved: %s\n", top1_ok ? "yes" : "NO");
     env.add_metric_sample("perf.linear.shapley_speedup_x", "x", shap_speedup_lin);
     env.add_metric_sample("perf.linear.round_speedup_x", "x", round_speedup_lin);
     env.add_metric_sample("perf.adaptive.shapley_speedup_x", "x", shap_speedup_ada);
     env.add_metric_sample("perf.adaptive.round_speedup_x", "x", round_speedup_ada);
 
-    // The bit-identity half of the contract holds at ANY scale. The timing
-    // thresholds and the ranking check are only meaningful at the full
-    // default size (tiny smoke runs are all overhead, and after 2 rounds phi
-    // is one big statistical tie), so they arm at >= 8 agents, >= 5 rounds.
-    if (!bit_identical) {
-      std::fprintf(stderr, "CONTRACT VIOLATION: batched mc diverged from sequential mc\n");
-      ok = false;
-    }
+    // The timing thresholds and the ranking check are only meaningful at the
+    // full default size (tiny smoke runs are all overhead, and after 2 rounds
+    // phi is one big statistical tie), so they arm at >= 8 agents, >= 5 rounds.
     armed = agents >= 8 && rounds >= 5;
     if (armed) {
       if (!top1_ok) {
@@ -314,8 +296,6 @@ int main(int argc, char** argv) {
     gate["shapley_speedup_x"] = shap_speedup_ada;
     gate["round_speedup_x"] = round_speedup_ada;
     gate["linear_shapley_speedup_x"] = shap_speedup_lin;
-    gate["batched_shapley_speedup_x"] = shap_speedup_bat;
-    gate["batched_bit_identical"] = bit_identical;
     gate["top1_pi_preserved"] = top1_ok;
     gate["passed"] = ok;
     env.set_acceptance(std::move(gate), armed);
@@ -337,7 +317,7 @@ int main(int argc, char** argv) {
     };
     const auto collect = [&](const std::string& method, std::size_t perms) {
       algos::Env e = bed.env(seed);
-      e.hp.shapley_method = method;
+      e.hp.shapley_method = algos::shapley_method_from_string(method, "method");
       e.hp.shapley_permutations = perms;
       core::Pdsl alg(e);
       QRun out;

@@ -49,6 +49,37 @@ DefenseOptions::Sanitize sanitize_from_string(const std::string& name) {
   throw std::invalid_argument("unknown sanitize mode: " + name);
 }
 
+const char* shapley_method_to_string(ShapleyMethod m) {
+  switch (m) {
+    case ShapleyMethod::kMc: return "mc";
+    case ShapleyMethod::kExact: return "exact";
+    case ShapleyMethod::kTmc: return "tmc";
+    case ShapleyMethod::kStratified: return "stratified";
+    case ShapleyMethod::kAdaptive: return "adaptive";
+  }
+  return "mc";
+}
+
+ShapleyMethod shapley_method_from_string(const std::string& name, const std::string& what) {
+  for (const ShapleyMethod m : {ShapleyMethod::kMc, ShapleyMethod::kExact, ShapleyMethod::kTmc,
+                                ShapleyMethod::kStratified, ShapleyMethod::kAdaptive}) {
+    if (name == shapley_method_to_string(m)) return m;
+  }
+  throw std::invalid_argument(what + ": unknown Shapley method '" + name +
+                              "' (expected mc | exact | tmc | stratified | adaptive)");
+}
+
+const char* shapley_eval_to_string(ShapleyEval e) {
+  return e == ShapleyEval::kSequential ? "sequential" : "linear";
+}
+
+ShapleyEval shapley_eval_from_string(const std::string& name, const std::string& what) {
+  if (name == "sequential") return ShapleyEval::kSequential;
+  if (name == "linear") return ShapleyEval::kLinear;
+  throw std::invalid_argument(what + ": unknown Shapley scorer '" + name +
+                              "' (expected sequential | linear)");
+}
+
 namespace {
 void validate_env(const Env& env) {
   if (env.topo == nullptr || env.mixing == nullptr || env.train == nullptr ||
@@ -602,9 +633,6 @@ std::vector<sim::RoundMetrics> run_with_metrics(Algorithm& alg, std::size_t roun
     }
     if (const auto sstats = alg.shapley_round_stats()) {
       m.shapley_evals = sstats->coalition_evals;
-      m.shapley_batched = sstats->coalitions_batched;
-      m.shapley_cache_hits = sstats->cache_hits;
-      m.shapley_cache_misses = sstats->cache_misses;
       m.shapley_early_stops = sstats->early_stopped;
     }
     m.retransmits = alg.network().retransmits();

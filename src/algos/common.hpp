@@ -32,6 +32,27 @@
 
 namespace pdsl::algos {
 
+/// PDSL Shapley estimator: "mc" (Algorithm 2) | "exact" (Eq. 18) | "tmc"
+/// (truncated MC) | "stratified" (Castro et al. [37]) | "adaptive" (S-SHAP
+/// antithetic pairs + CI early stop).
+enum class ShapleyMethod { kMc, kExact, kTmc, kStratified, kAdaptive };
+
+/// PDSL coalition scorer: "sequential" (average the members' parameters, one
+/// forward pass per coalition — the bit-identical reference) | "linear"
+/// (reuse per-member first-layer pre-activations across coalitions —
+/// fastest, tolerance-banded against sequential, pinned by the banded golden
+/// fixture tests/golden/pdsl_linear.csv).
+enum class ShapleyEval { kSequential, kLinear };
+
+[[nodiscard]] const char* shapley_method_to_string(ShapleyMethod m);
+/// Throws std::invalid_argument naming `what` (the config key or CLI flag)
+/// and the valid names on an unknown name.
+[[nodiscard]] ShapleyMethod shapley_method_from_string(const std::string& name,
+                                                       const std::string& what);
+[[nodiscard]] const char* shapley_eval_to_string(ShapleyEval e);
+[[nodiscard]] ShapleyEval shapley_eval_from_string(const std::string& name,
+                                                   const std::string& what);
+
 struct HyperParams {
   double gamma = 0.01;   ///< learning rate (paper's gamma)
   double alpha = 0.5;    ///< momentum coefficient (paper's alpha)
@@ -41,23 +62,12 @@ struct HyperParams {
 
   // PDSL
   std::size_t shapley_permutations = 8;  ///< R in Algorithm 2
-  bool exact_shapley = false;            ///< use Eq. 18 enumeration instead
-  /// Estimator: "mc" (Algorithm 2) | "exact" | "tmc" (truncated MC) |
-  /// "stratified" (Castro et al. [37]) | "adaptive" (S-SHAP antithetic pairs
-  /// + CI early stop). exact_shapley=true overrides to exact.
-  std::string shapley_method = "mc";
+  ShapleyMethod shapley_method = ShapleyMethod::kMc;
   double tmc_tolerance = 0.01;           ///< truncation tolerance for "tmc"
   std::size_t validation_batch = 64;     ///< per-round subsample of Q for v(.)
-  /// S-SHAP coalition scoring path: "sequential" (one forward pass per
-  /// coalition — the bit-identical reference) | "batched" (stacked-GEMM
-  /// evaluation + cross-round value cache; bit-identical on supported
-  /// models, verified by tests/test_shapley.cpp) | "linear" (additionally
-  /// reuses per-member first-layer pre-activations across coalitions —
-  /// fastest, tolerance-banded against sequential, pinned by the banded
-  /// golden fixture tests/golden/pdsl_linear.csv). Default: linear; models
-  /// the batch evaluator cannot stack (CNNs) fall back to sequential
-  /// scoring automatically.
-  std::string shapley_eval = "linear";
+  /// Default: linear; models the linear scorer cannot replicate (CNNs) fall
+  /// back to sequential scoring automatically.
+  ShapleyEval shapley_eval = ShapleyEval::kLinear;
   /// "adaptive" floor: permutations drawn before the CI stop may trigger.
   /// The budget ceiling is shapley_permutations.
   std::size_t shapley_min_permutations = 4;
@@ -126,13 +136,10 @@ struct Env {
 };
 
 /// S-SHAP per-round Shapley-phase accounting, snapshotted by
-/// run_with_metrics into the CSV so the batched/cached/adaptive speedup is
-/// attributable round by round.
+/// run_with_metrics into the CSV so the evaluation budget is attributable
+/// round by round.
 struct ShapleyRoundStats {
   std::size_t coalition_evals = 0;      ///< characteristic evaluations run
-  std::size_t coalitions_batched = 0;   ///< of those, scored via stacked GEMM
-  std::size_t cache_hits = 0;           ///< served from the cross-round cache
-  std::size_t cache_misses = 0;         ///< cache lookups that had to evaluate
   std::size_t permutations_used = 0;    ///< MC permutations consumed (all agents)
   std::size_t early_stopped = 0;        ///< agents whose sampler CI-stopped early
 };

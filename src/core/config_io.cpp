@@ -63,8 +63,8 @@ json::Value config_to_json(const ExperimentConfig& cfg) {
   o["sigma"] = cfg.hp.sigma;
   o["batch"] = cfg.hp.batch;
   o["shapley_permutations"] = cfg.hp.shapley_permutations;
-  o["shapley_method"] = cfg.hp.shapley_method;
-  o["shapley_eval"] = cfg.hp.shapley_eval;
+  o["shapley_method"] = std::string(algos::shapley_method_to_string(cfg.hp.shapley_method));
+  o["shapley_eval"] = std::string(algos::shapley_eval_to_string(cfg.hp.shapley_eval));
   o["shapley_min_permutations"] = cfg.hp.shapley_min_permutations;
   o["shapley_ci_z"] = cfg.hp.shapley_ci_z;
   o["validation_batch"] = cfg.hp.validation_batch;
@@ -154,8 +154,14 @@ ExperimentConfig config_from_json(const json::Value& v) {
   num("sigma", cfg.hp.sigma);
   idx("batch", cfg.hp.batch);
   idx("shapley_permutations", cfg.hp.shapley_permutations);
-  str("shapley_method", cfg.hp.shapley_method);
-  str("shapley_eval", cfg.hp.shapley_eval);
+  if (v.contains("shapley_method")) {
+    cfg.hp.shapley_method =
+        algos::shapley_method_from_string(v.at("shapley_method").as_string(), "shapley_method");
+  }
+  if (v.contains("shapley_eval")) {
+    cfg.hp.shapley_eval =
+        algos::shapley_eval_from_string(v.at("shapley_eval").as_string(), "shapley_eval");
+  }
   idx("shapley_min_permutations", cfg.hp.shapley_min_permutations);
   num("shapley_ci_z", cfg.hp.shapley_ci_z);
   idx("validation_batch", cfg.hp.validation_batch);

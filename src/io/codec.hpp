@@ -26,9 +26,14 @@ using ByteBuffer = std::vector<std::uint8_t>;
   return hash;
 }
 
+// resize + memcpy rather than vector::insert: GCC 12 flags the insert of a
+// byte range into a freshly constructed vector with a false
+// -Wstringop-overflow once it is inlined into a caller.
 inline void append_raw(ByteBuffer& buf, const void* data, std::size_t n) {
-  const auto* bytes = static_cast<const std::uint8_t*>(data);
-  buf.insert(buf.end(), bytes, bytes + n);
+  if (n == 0) return;
+  const std::size_t at = buf.size();
+  buf.resize(at + n);
+  std::memcpy(buf.data() + at, data, n);
 }
 
 inline void append_u8(ByteBuffer& buf, std::uint8_t v) { buf.push_back(v); }

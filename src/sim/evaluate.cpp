@@ -143,75 +143,6 @@ CoalitionBatchEvaluator::CoalitionBatchEvaluator(const nn::Model& model, const F
   }
   num_params_ = off;
   classes_ = width;
-  logits_ = Tensor(Shape{rows_, classes_});
-}
-
-std::vector<double> CoalitionBatchEvaluator::accuracies(
-    const std::vector<const std::vector<float>*>& params) {
-  return scores(params, /*want_loss=*/false);
-}
-
-std::vector<double> CoalitionBatchEvaluator::losses(
-    const std::vector<const std::vector<float>*>& params) {
-  return scores(params, /*want_loss=*/true);
-}
-
-std::vector<double> CoalitionBatchEvaluator::scores(
-    const std::vector<const std::vector<float>*>& params, bool want_loss) {
-  const std::size_t count = params.size();
-  if (count == 0) return {};
-  for (const auto* p : params) {
-    if (p == nullptr || p->size() != num_params_) {
-      throw std::invalid_argument("CoalitionBatchEvaluator: bad flat param vector");
-    }
-  }
-
-  first_layer_into(params, buf_a_);
-
-  std::vector<float>* cur = &buf_a_;
-  std::vector<float>* nxt = &buf_b_;
-  bool first_linear_seen = false;
-  for (const Step& step : steps_) {
-    if (step.op == Op::kLinear && !first_linear_seen) {
-      first_linear_seen = true;  // already applied above
-      continue;
-    }
-    switch (step.op) {
-      case Op::kRelu:
-        // nn::ReLU::forward zeroes every element with out[i] <= 0.
-        for (float& v : *cur) {
-          if (!(v > 0.0f)) v = 0.0f;
-        }
-        break;
-      case Op::kTanh:
-        for (float& v : *cur) v = std::tanh(v);
-        break;
-      case Op::kLinear: {
-        const Lin& l = linears_[step.linear];
-        nxt->resize(count * rows_ * l.out);
-        for (std::size_t k = 0; k < count; ++k) {
-          float* out = nxt->data() + k * rows_ * l.out;
-          for (std::size_t r = 0; r < rows_; ++r) {
-            std::memcpy(out + r * l.out, params[k]->data() + l.b_off, l.out * sizeof(float));
-          }
-          kernels::sgemm_transpose_b(rows_, l.in, l.out, cur->data() + k * rows_ * l.in,
-                                     params[k]->data() + l.w_off, out, /*accumulate=*/true);
-        }
-        std::swap(cur, nxt);
-        break;
-      }
-    }
-  }
-
-  // Per-model logits -> the same SoftmaxCrossEntropy the sequential path runs.
-  std::vector<double> out(count, 0.0);
-  for (std::size_t k = 0; k < count; ++k) {
-    const float* src = cur->data() + k * rows_ * classes_;
-    std::copy(src, src + rows_ * classes_, logits_.vec().begin());
-    const double loss_value = loss_.forward(logits_, val_->y);
-    out[k] = want_loss ? loss_value : loss_.accuracy();
-  }
-  return out;
 }
 
 void CoalitionBatchEvaluator::first_layer_into(
@@ -302,9 +233,9 @@ std::vector<double> CoalitionBatchEvaluator::coalition_scores(
     }
     const auto size = static_cast<std::size_t>(__builtin_popcountll(mask));
     // Mirror mean_of/weighted_sum: zero-init, then += (1/|S|) * member, in
-    // ascending member order, so the fold order matches the batched path's
-    // parameter averaging exactly (the only numeric delta is first-layer
-    // distribution, documented in the header).
+    // ascending member order, so the fold order matches the sequential
+    // path's parameter averaging exactly (the only numeric delta is
+    // first-layer distribution, documented in the header).
     const auto wf = static_cast<float>(1.0 / static_cast<double>(size));
     buf_a_.assign(z_stride, 0.0f);
     std::fill(tail_buf_.begin() + static_cast<std::ptrdiff_t>(tail_off), tail_buf_.end(),

@@ -43,13 +43,9 @@ struct RoundMetrics {
   // composing one Gaussian-mechanism release per agent per round. 0 when the
   // run is non-private (sigma = 0). Monotonically non-decreasing.
   double epsilon_spent = 0.0;
-  // S-SHAP: where this round's coalition scores came from (all agents). Zero
-  // for algorithms without a Shapley phase; batched/cached/early-stop fields
-  // are zero on the sequential reference path.
+  // S-SHAP: this round's coalition-scoring budget (all agents). Zero for
+  // algorithms without a Shapley phase.
   std::size_t shapley_evals = 0;        ///< characteristic evaluations run
-  std::size_t shapley_batched = 0;      ///< coalitions scored via stacked GEMM
-  std::size_t shapley_cache_hits = 0;   ///< coalitions served by the cross-round cache
-  std::size_t shapley_cache_misses = 0; ///< cache lookups that had to evaluate
   std::size_t shapley_early_stops = 0;  ///< agents whose MC sampler CI-stopped early
   // S-RECOV: unreliable-channel transport + crash/recovery activity.
   // Transport counters are cumulative network totals (like messages/bytes);
@@ -118,9 +114,6 @@ inline constexpr RoundColumn kRoundColumns[] = {
     {"pi_honest", &RoundMetrics::pi_honest},
     {"epsilon_spent", &RoundMetrics::epsilon_spent},
     {"shapley_evals", &RoundMetrics::shapley_evals},
-    {"shapley_batched", &RoundMetrics::shapley_batched},
-    {"shapley_cache_hits", &RoundMetrics::shapley_cache_hits},
-    {"shapley_cache_misses", &RoundMetrics::shapley_cache_misses},
     {"shapley_early_stops", &RoundMetrics::shapley_early_stops},
     {"retransmits", &RoundMetrics::retransmits},
     {"corrupt_detected", &RoundMetrics::corrupt_detected},

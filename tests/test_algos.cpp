@@ -74,8 +74,6 @@ struct Fixture {
   }
 };
 
-double chance_level() { return 1.0 / 4.0; }
-
 template <typename Alg>
 double final_accuracy(const Fixture& fx, const Env& env, std::size_t rounds) {
   Alg alg(env);

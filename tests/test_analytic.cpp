@@ -142,7 +142,9 @@ TEST(Analytic, JsonFuzzRoundTrip) {
       case 0: return json::Value(nullptr);
       case 1: return json::Value(rng.bernoulli(0.5));
       case 2: return json::Value(rng.normal(0.0, 100.0));
-      case 3: return json::Value("s" + std::to_string(rng.uniform_int(0, 999)) + "\n\"x\"");
+      case 3:
+        return json::Value(std::string("s").append(std::to_string(rng.uniform_int(0, 999))) +
+                           "\n\"x\"");
       case 4: {
         json::Array arr;
         const auto n = rng.uniform_int(0, 4);
@@ -153,7 +155,7 @@ TEST(Analytic, JsonFuzzRoundTrip) {
         json::Object obj;
         const auto n = rng.uniform_int(0, 4);
         for (std::int64_t i = 0; i < n; ++i) {
-          obj["k" + std::to_string(i)] = gen(depth + 1);
+          obj[std::string("k").append(std::to_string(i))] = gen(depth + 1);
         }
         return json::Value(std::move(obj));
       }

@@ -17,7 +17,7 @@ TEST(Dataset, BasicAccessors) {
   EXPECT_EQ(ds.sample_numel(), 2u);
   EXPECT_EQ(ds.num_classes(), 3u);
   EXPECT_FLOAT_EQ(ds.sample(1)[0], 3.0f);
-  EXPECT_THROW(ds.sample(3), std::out_of_range);
+  EXPECT_THROW((void)ds.sample(3), std::out_of_range);
 }
 
 TEST(Dataset, BatchMaterialization) {
@@ -149,7 +149,9 @@ TEST_P(PartitionHeterogeneity, SmallerMuMoreHeterogeneous) {
   const double h_iid = heterogeneity_index(label_distributions(ds, iid, ds.num_classes()));
   EXPECT_GT(h, h_iid);
   // ...and strongly-skewed ones (mu <= 0.25) are very heterogeneous.
-  if (mu <= 0.25) EXPECT_GT(h, 0.4);
+  if (mu <= 0.25) {
+    EXPECT_GT(h, 0.4);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(MuSweep, PartitionHeterogeneity,

@@ -26,10 +26,14 @@
 //   ./build/tests/test_golden_regression --regenerate
 //
 // and explain the diff in the commit message. --regenerate rewrites both
-// tiers' fixture CSVs; the hand-written .band.csv specs are left alone.
+// tiers' fixture CSVs; the hand-written .band.csv specs are left alone. A
+// row whose deterministic cells equal the old fixture's (matched by column
+// name) keeps its old wall-clock cells, so a schema-only change (a column
+// added or deleted) diffs only in that column.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -84,7 +88,7 @@ ExperimentConfig base_config() {
   // the process defaults (shapley_eval = "linear", and blocked kernels today)
   // may move to faster banded tiers without invalidating these fixtures.
   cfg.backend = "blocked";
-  cfg.hp.shapley_eval = "sequential";
+  cfg.hp.shapley_eval = pdsl::algos::ShapleyEval::kSequential;
   return cfg;
 }
 
@@ -147,7 +151,7 @@ std::vector<Scenario> banded_scenarios() {
     // per-member first-layer pre-activations across coalitions.
     ExperimentConfig cfg = base_config();
     cfg.algorithm = "pdsl";
-    cfg.hp.shapley_eval = "linear";
+    cfg.hp.shapley_eval = pdsl::algos::ShapleyEval::kLinear;
     out.push_back({"pdsl_linear", cfg});
   }
   return out;
@@ -226,6 +230,13 @@ void compare_csv(const std::string& golden, const std::string& candidate,
                                 "if intentional";
   ASSERT_EQ(got.size(), want.size()) << "row count changed";
   const auto& header = want[0];
+  if (bands != nullptr) {
+    // A band for a column the fixture lacks guards nothing: refuse it.
+    for (const auto& [name, band] : bands->columns) {
+      EXPECT_NE(std::find(header.begin(), header.end(), name), header.end())
+          << "band spec names column '" << name << "' missing from " << golden;
+    }
+  }
   for (std::size_t r = 1; r < want.size(); ++r) {
     ASSERT_EQ(got[r].size(), header.size()) << "row " << r;
     ASSERT_EQ(want[r].size(), header.size()) << "row " << r;
@@ -250,6 +261,42 @@ void compare_csv(const std::string& golden, const std::string& candidate,
             << "cell (" << r << ", " << header[c] << ") of " << golden;
       }
     }
+  }
+}
+
+/// Rewrite `s`'s fixture from a fresh run, keeping the old fixture's
+/// wall-clock cells on every row whose deterministic cells it reproduces.
+void regenerate_fixture(const Scenario& s) {
+  const std::string golden = golden_path(s.name);
+  const std::string fresh = candidate_path(s.name);
+  run_scenario_to_csv(s, fresh);
+  auto rows = pdsl::read_csv(fresh);
+  std::filesystem::remove(fresh);
+  if (std::filesystem::exists(golden)) {
+    const auto old = pdsl::read_csv(golden);
+    std::map<std::string, std::size_t> old_col;
+    for (std::size_t c = 0; c < old[0].size(); ++c) old_col[old[0][c]] = c;
+    const auto& header = rows[0];
+    for (std::size_t r = 1; r < std::min(rows.size(), old.size()); ++r) {
+      bool same = old[r].size() == old[0].size();
+      for (std::size_t c = 0; c < header.size() && same; ++c) {
+        const auto it = old_col.find(header[c]);
+        same = is_timing_column(header[c]) || it == old_col.end() ||
+               old[r][it->second] == rows[r][c];
+      }
+      for (std::size_t c = 0; c < header.size() && same; ++c) {
+        const auto it = old_col.find(header[c]);
+        if (is_timing_column(header[c]) && it != old_col.end()) {
+          rows[r][c] = old[r][it->second];
+        }
+      }
+    }
+  }
+  pdsl::CsvWriter out(golden, rows[0]);
+  for (std::size_t r = 1; r < rows.size(); ++r) {
+    pdsl::CsvRow row;
+    for (const auto& cell : rows[r]) row << cell;
+    out.write(row);
   }
 }
 
@@ -320,11 +367,11 @@ int main(int argc, char** argv) {
     if (std::string(argv[i]) == "--regenerate") {
       std::filesystem::create_directories(PDSL_GOLDEN_DIR);
       for (const Scenario& s : scenarios()) {
-        run_scenario_to_csv(s, golden_path(s.name));
+        regenerate_fixture(s);
         std::printf("regenerated %s\n", golden_path(s.name).c_str());
       }
       for (const Scenario& s : banded_scenarios()) {
-        run_scenario_to_csv(s, golden_path(s.name));
+        regenerate_fixture(s);
         std::printf("regenerated %s (banded; spec %s untouched)\n",
                     golden_path(s.name).c_str(), band_path(s.name).c_str());
       }

@@ -32,7 +32,9 @@ TEST(Topology, BipartiteStructure) {
   // K_{5,5}: within-side no edges, across-side all edges.
   for (std::size_t i = 0; i < 5; ++i) {
     for (std::size_t j = 0; j < 5; ++j) {
-      if (i != j) EXPECT_FALSE(t.has_edge(i, j));
+      if (i != j) {
+        EXPECT_FALSE(t.has_edge(i, j));
+      }
       EXPECT_TRUE(t.has_edge(i, 5 + j));
     }
   }

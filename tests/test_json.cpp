@@ -29,7 +29,7 @@ TEST(Json, ParsesContainers) {
   EXPECT_TRUE(v.at("d").is_null());
   EXPECT_TRUE(v.contains("a"));
   EXPECT_FALSE(v.contains("z"));
-  EXPECT_THROW(v.at("z"), std::out_of_range);
+  EXPECT_THROW((void)v.at("z"), std::out_of_range);
 }
 
 TEST(Json, StringEscapes) {
@@ -87,7 +87,8 @@ TEST(ConfigIo, RoundTripPreservesEveryField) {
   cfg.hp.gamma = 0.123;
   cfg.hp.alpha = 0.77;
   cfg.hp.batch = 99;
-  cfg.hp.shapley_method = "tmc";
+  cfg.hp.shapley_method = algos::ShapleyMethod::kTmc;
+  cfg.hp.shapley_eval = algos::ShapleyEval::kSequential;
   cfg.sigma_mode = "fixed";
   cfg.hp.sigma = 0.42;
   cfg.noise_scale = 0.5;
@@ -95,7 +96,10 @@ TEST(ConfigIo, RoundTripPreservesEveryField) {
   cfg.seed = 1234;
   cfg.compression = "quant:8";
 
-  const auto restored = core::config_from_json(core::config_to_json(cfg));
+  const json::Value cfg_json = core::config_to_json(cfg);
+  EXPECT_EQ(cfg_json.at("shapley_method").as_string(), "tmc");
+  EXPECT_EQ(cfg_json.at("shapley_eval").as_string(), "sequential");
+  const auto restored = core::config_from_json(cfg_json);
   EXPECT_EQ(restored.algorithm, cfg.algorithm);
   EXPECT_EQ(restored.dataset, cfg.dataset);
   EXPECT_EQ(restored.model, cfg.model);
@@ -110,6 +114,7 @@ TEST(ConfigIo, RoundTripPreservesEveryField) {
   EXPECT_DOUBLE_EQ(restored.hp.alpha, cfg.hp.alpha);
   EXPECT_EQ(restored.hp.batch, cfg.hp.batch);
   EXPECT_EQ(restored.hp.shapley_method, cfg.hp.shapley_method);
+  EXPECT_EQ(restored.hp.shapley_eval, cfg.hp.shapley_eval);
   EXPECT_EQ(restored.sigma_mode, cfg.sigma_mode);
   EXPECT_DOUBLE_EQ(restored.hp.sigma, cfg.hp.sigma);
   EXPECT_DOUBLE_EQ(restored.noise_scale, cfg.noise_scale);
@@ -128,6 +133,13 @@ TEST(ConfigIo, PartialConfigKeepsDefaults) {
 
 TEST(ConfigIo, UnknownKeysAreRejected) {
   EXPECT_THROW(core::config_from_json(parse(R"({"agentz": 9})")), std::invalid_argument);
+}
+
+TEST(ConfigIo, UnknownShapleyNamesAreRejectedAtParse) {
+  EXPECT_THROW(core::config_from_json(parse(R"({"shapley_eval": "batched"})")),
+               std::invalid_argument);
+  EXPECT_THROW(core::config_from_json(parse(R"({"shapley_method": "bogus"})")),
+               std::invalid_argument);
 }
 
 TEST(ConfigIo, LoadFromFile) {

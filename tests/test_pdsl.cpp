@@ -120,7 +120,7 @@ TEST(Pdsl, ShapleyHooksArePopulatedAndEfficient) {
 TEST(Pdsl, ExactShapleyPathRuns) {
   const auto fx = Fixture::make(4, "ring", true);
   Env env = fx.env(0.0);
-  env.hp.exact_shapley = true;
+  env.hp.shapley_method = ShapleyMethod::kExact;
   Pdsl alg(env);
   alg.run_round(1);
   // Ring closed neighborhood = 3 players -> exact enumeration = 7 coalitions
@@ -149,12 +149,15 @@ TEST(Pdsl, UniformAblationRunsAndNames) {
 
 TEST(Pdsl, AlternativeShapleyEstimatorsRun) {
   const auto fx = Fixture::make(4, "full", true);
-  for (const std::string method : {"mc", "tmc", "stratified", "exact"}) {
+  for (const ShapleyMethod method : {ShapleyMethod::kMc, ShapleyMethod::kTmc,
+                                     ShapleyMethod::kStratified, ShapleyMethod::kExact}) {
     Env env = fx.env(0.05);
     env.hp.shapley_method = method;
     Pdsl alg(env);
     alg.run_round(1);
-    for (double pi : alg.last_pi()[0]) EXPECT_TRUE(std::isfinite(pi)) << method;
+    for (double pi : alg.last_pi()[0]) {
+      EXPECT_TRUE(std::isfinite(pi)) << shapley_method_to_string(method);
+    }
   }
 }
 
@@ -222,62 +225,8 @@ TEST(Pdsl, ConsensusTightensOverRounds) {
 }
 
 // ---------------------------------------------------------------------------
-// S-SHAP: batched coalition evaluation + adaptive sampling inside PDSL
+// S-SHAP: linear coalition scoring + adaptive sampling inside PDSL
 // ---------------------------------------------------------------------------
-
-TEST(Pdsl, BatchedEvalBitIdenticalToSequential) {
-  // --shapley-eval batched must reproduce the default path to the bit: the
-  // stacked GEMM scores the same coalition averages to the same doubles, so
-  // phi, pi and every model float agree exactly.
-  const auto fx = Fixture::make(4, "full", true);
-  Env bat_env = fx.env(0.1);
-  bat_env.hp.shapley_eval = "batched";
-  Env seq_env = fx.env(0.1);
-  seq_env.hp.shapley_eval = "sequential";  // the default is linear now
-  Pdsl seq(seq_env);
-  Pdsl bat(bat_env);
-  for (std::size_t t = 1; t <= 3; ++t) {
-    seq.run_round(t);
-    bat.run_round(t);
-  }
-  EXPECT_EQ(seq.models(), bat.models());
-  for (std::size_t i = 0; i < 4; ++i) {
-    ASSERT_EQ(seq.last_shapley()[i].size(), bat.last_shapley()[i].size());
-    for (std::size_t k = 0; k < seq.last_shapley()[i].size(); ++k) {
-      EXPECT_EQ(seq.last_shapley()[i][k], bat.last_shapley()[i][k]);
-      EXPECT_EQ(seq.last_pi()[i][k], bat.last_pi()[i][k]);
-    }
-  }
-  const auto stats = bat.shapley_round_stats();
-  ASSERT_TRUE(stats.has_value());
-  EXPECT_GT(stats->coalition_evals, 0u);
-  EXPECT_EQ(stats->coalitions_batched, stats->coalition_evals);  // mc prefetches all
-  EXPECT_GT(stats->cache_misses, 0u);
-  const auto seq_stats = seq.shapley_round_stats();
-  ASSERT_TRUE(seq_stats.has_value());
-  EXPECT_EQ(seq_stats->coalitions_batched, 0u);
-  EXPECT_EQ(seq_stats->coalition_evals, stats->coalition_evals);
-}
-
-TEST(Pdsl, BatchedEvalBitIdenticalOnRobustVariant) {
-  // Loss-valued characteristic (pdsl_robust) exercises the batched losses()
-  // path; same bit-identity contract.
-  const auto fx = Fixture::make(4, "full", true);
-  Pdsl::Options popts;
-  popts.relu_normalization = true;
-  popts.loss_characteristic = true;
-  Env bat_env = fx.env(0.0);
-  bat_env.hp.shapley_eval = "batched";
-  Env seq_env = fx.env(0.0);
-  seq_env.hp.shapley_eval = "sequential";
-  Pdsl seq(seq_env, popts);
-  Pdsl bat(bat_env, popts);
-  for (std::size_t t = 1; t <= 2; ++t) {
-    seq.run_round(t);
-    bat.run_round(t);
-  }
-  EXPECT_EQ(seq.models(), bat.models());
-}
 
 TEST(Pdsl, LinearEvalTracksSequentialAndIsDeterministic) {
   // --shapley-eval linear scores coalitions via first-layer linearity —
@@ -286,9 +235,9 @@ TEST(Pdsl, LinearEvalTracksSequentialAndIsDeterministic) {
   // closeness to the sequential path, not bit-identity.
   const auto fx = Fixture::make(4, "full", true);
   Env lin_env = fx.env(0.1);
-  lin_env.hp.shapley_eval = "linear";
+  lin_env.hp.shapley_eval = ShapleyEval::kLinear;
   Env seq_env = fx.env(0.1);
-  seq_env.hp.shapley_eval = "sequential";
+  seq_env.hp.shapley_eval = ShapleyEval::kSequential;
   Pdsl seq(seq_env);
   Pdsl lin(lin_env);
   Pdsl lin2(lin_env);
@@ -308,9 +257,13 @@ TEST(Pdsl, LinearEvalTracksSequentialAndIsDeterministic) {
       EXPECT_NEAR(lin.models()[i][j], seq.models()[i][j], 1e-2) << "agent " << i;
     }
   }
-  const auto stats = lin.shapley_round_stats();
-  ASSERT_TRUE(stats.has_value());
-  EXPECT_GT(stats->coalitions_batched, 0u);  // linear rides the batched path
+  // Both scorers play the same game: the same coalitions get scored.
+  const auto lin_stats = lin.shapley_round_stats();
+  const auto seq_stats = seq.shapley_round_stats();
+  ASSERT_TRUE(lin_stats.has_value());
+  ASSERT_TRUE(seq_stats.has_value());
+  EXPECT_GT(lin_stats->coalition_evals, 0u);
+  EXPECT_EQ(lin_stats->coalition_evals, seq_stats->coalition_evals);
 }
 
 TEST(Pdsl, LinearEvalRunsOnRobustVariant) {
@@ -321,7 +274,7 @@ TEST(Pdsl, LinearEvalRunsOnRobustVariant) {
   popts.relu_normalization = true;
   popts.loss_characteristic = true;
   Env env = fx.env(0.0);
-  env.hp.shapley_eval = "linear";
+  env.hp.shapley_eval = ShapleyEval::kLinear;
   Pdsl a(env, popts);
   Pdsl b(env, popts);
   for (std::size_t t = 1; t <= 2; ++t) {
@@ -335,7 +288,7 @@ TEST(Pdsl, LinearEvalRunsOnRobustVariant) {
 TEST(Pdsl, AdaptiveMethodRunsAndRecordsBudget) {
   const auto fx = Fixture::make(4, "full", true);
   Env env = fx.env(0.0);
-  env.hp.shapley_method = "adaptive";
+  env.hp.shapley_method = ShapleyMethod::kAdaptive;
   env.hp.shapley_permutations = 16;
   env.hp.shapley_min_permutations = 4;
   Pdsl alg(env);
@@ -347,18 +300,25 @@ TEST(Pdsl, AdaptiveMethodRunsAndRecordsBudget) {
   for (double pi : alg.last_pi()[0]) EXPECT_TRUE(std::isfinite(pi));
 }
 
-TEST(Pdsl, ValidatesShapleyConfig) {
-  const auto fx = Fixture::make(3, "ring", false);
-  {
-    Env env = fx.env();
-    env.hp.shapley_eval = "bogus";
-    EXPECT_THROW(Pdsl{env}, std::invalid_argument);
+TEST(Pdsl, ShapleyOptionNamesRoundTripAndRejectUnknown) {
+  for (const ShapleyMethod m : {ShapleyMethod::kMc, ShapleyMethod::kExact, ShapleyMethod::kTmc,
+                                ShapleyMethod::kStratified, ShapleyMethod::kAdaptive}) {
+    EXPECT_EQ(shapley_method_from_string(shapley_method_to_string(m), "k"), m);
   }
-  {
-    Env env = fx.env();
-    env.hp.shapley_method = "bogus";
-    EXPECT_THROW(Pdsl{env}, std::invalid_argument);
+  for (const ShapleyEval e : {ShapleyEval::kSequential, ShapleyEval::kLinear}) {
+    EXPECT_EQ(shapley_eval_from_string(shapley_eval_to_string(e), "k"), e);
   }
+  // The message names the key/flag and the valid values.
+  try {
+    (void)shapley_eval_from_string("batched", "--shapley-eval");
+    FAIL() << "batched must be refused";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("--shapley-eval"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("sequential | linear"), std::string::npos) << msg;
+  }
+  EXPECT_THROW((void)shapley_method_from_string("bogus", "shapley_method"),
+               std::invalid_argument);
 }
 
 TEST(Pdsl, RefusesNeighborhoodsAbove63Players) {

@@ -73,8 +73,8 @@ TEST(Rdp, BestOrderShrinksWithMoreRounds) {
 TEST(Rdp, Validation) {
   RdpAccountant acc;
   EXPECT_THROW(acc.add_gaussian(0.0), std::invalid_argument);
-  EXPECT_THROW(acc.epsilon(0.0), std::invalid_argument);
-  EXPECT_THROW(acc.epsilon(1.0), std::invalid_argument);
+  EXPECT_THROW((void)acc.epsilon(0.0), std::invalid_argument);
+  EXPECT_THROW((void)acc.epsilon(1.0), std::invalid_argument);
   EXPECT_THROW(RdpAccountant({0.5}), std::invalid_argument);
   EXPECT_THROW(RdpAccountant(std::vector<double>{}), std::invalid_argument);
 }

@@ -14,7 +14,7 @@ TEST(Tensor, ShapeAndNumel) {
   EXPECT_EQ(t.rank(), 3u);
   EXPECT_EQ(t.numel(), 24u);
   EXPECT_EQ(t.dim(1), 3u);
-  EXPECT_THROW(t.dim(3), std::out_of_range);
+  EXPECT_THROW((void)t.dim(3), std::out_of_range);
 }
 
 TEST(Tensor, ConstructionValidatesDataSize) {

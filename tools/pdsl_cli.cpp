@@ -76,11 +76,11 @@ int usage() {
       "                      kernels; default blocked, or the PDSL_KERNEL_BACKEND\n"
       "                      env var; vectorized/auto = S-VEC fast-math tier,\n"
       "                      deterministic but tolerance-banded, not bit-identical)\n"
-      "                    --shapley-eval sequential|batched|linear (S-SHAP:\n"
-      "                      batched = one stacked GEMM per layer, bit-identical;\n"
-      "                      linear = reuse per-member first-layer pre-activations\n"
-      "                      across coalitions, fastest, tolerance-banded; the\n"
-      "                      default)\n"
+      "                    --shapley-eval sequential|linear (S-SHAP:\n"
+      "                      sequential = one forward pass per coalition average,\n"
+      "                      the bit-identical reference; linear = reuse\n"
+      "                      per-member first-layer pre-activations across\n"
+      "                      coalitions, fastest, tolerance-banded; the default)\n"
       "                    --shapley-method mc|exact|tmc|stratified|adaptive\n"
       "                      (adaptive = antithetic pairs + CI early stop;\n"
       "                      see --shapley-min-perms / --shapley-ci-z)\n"
@@ -209,25 +209,18 @@ int cmd_run(int argc, const char* const* argv) {
       args.get_int("mc_perms", static_cast<std::int64_t>(cfg.hp.shapley_permutations)));
   cfg.hp.validation_batch = static_cast<std::size_t>(
       args.get_int("valbatch", static_cast<std::int64_t>(cfg.hp.validation_batch)));
-  // S-SHAP scoring knobs. Validated loudly here (naming the flag) in addition
-  // to the Pdsl constructor, so a typo fails before any dataset is generated.
-  cfg.hp.shapley_eval = args.get_string(
-      "shapley-eval", args.get_string("shapley_eval", cfg.hp.shapley_eval));
-  if (cfg.hp.shapley_eval != "sequential" && cfg.hp.shapley_eval != "batched" &&
-      cfg.hp.shapley_eval != "linear") {
-    throw std::invalid_argument(
-        "--shapley-eval must be 'sequential', 'batched' or 'linear', got '" +
-        cfg.hp.shapley_eval + "'");
-  }
-  cfg.hp.shapley_method = args.get_string(
-      "shapley-method", args.get_string("shapley_method", cfg.hp.shapley_method));
-  if (cfg.hp.shapley_method != "mc" && cfg.hp.shapley_method != "exact" &&
-      cfg.hp.shapley_method != "tmc" && cfg.hp.shapley_method != "stratified" &&
-      cfg.hp.shapley_method != "adaptive") {
-    throw std::invalid_argument(
-        "--shapley-method must be mc|exact|tmc|stratified|adaptive, got '" +
-        cfg.hp.shapley_method + "'");
-  }
+  // S-SHAP scoring knobs, parsed (and a typo refused, naming the flag)
+  // before any dataset is generated.
+  cfg.hp.shapley_eval = algos::shapley_eval_from_string(
+      args.get_string("shapley-eval",
+                      args.get_string("shapley_eval",
+                                      algos::shapley_eval_to_string(cfg.hp.shapley_eval))),
+      "--shapley-eval");
+  cfg.hp.shapley_method = algos::shapley_method_from_string(
+      args.get_string("shapley-method",
+                      args.get_string("shapley_method",
+                                      algos::shapley_method_to_string(cfg.hp.shapley_method))),
+      "--shapley-method");
   cfg.hp.shapley_min_permutations = positive(
       "shapley-min-perms",
       args.get_int("shapley-min-perms",
@@ -483,14 +476,9 @@ int cmd_run(int argc, const char* const* argv) {
                                 : static_cast<double>(clipped) /
                                       static_cast<double>(clip_total),
                 reg.gauge("dp.sigma").value());
-    std::printf(
-        "shapley.coalitions_batched=%llu  cache_hits=%llu  cache_misses=%llu  "
-        "permutations_early_stopped=%llu\n",
-        static_cast<unsigned long long>(reg.counter("shapley.coalitions_batched").value()),
-        static_cast<unsigned long long>(reg.counter("shapley.cache_hits").value()),
-        static_cast<unsigned long long>(reg.counter("shapley.cache_misses").value()),
-        static_cast<unsigned long long>(
-            reg.counter("shapley.permutations_early_stopped").value()));
+    std::printf("shapley.permutations_early_stopped=%llu\n",
+                static_cast<unsigned long long>(
+                    reg.counter("shapley.permutations_early_stopped").value()));
   }
   if (!cfg.trace_out.empty()) {
     std::printf("trace written to %s (%zu events; load in chrome://tracing)\n",

@@ -105,7 +105,7 @@ BENCHES = {
     "table2": {"binary": "bench_table2_cifar_accuracy", "quick": FIG_QUICK,
                "default": [], "headline": ["pdsl.final_accuracy"], "ab": False},
     "shapley": {
-        # S-SHAP: perf gate (sequential vs batched vs batched+adaptive) plus
+        # S-SHAP: perf gate (sequential vs linear vs linear+adaptive) plus
         # the estimator-quality and weighting-ablation sections that used to
         # live in ablation_shapley / ablation_mc_shapley.
         "binary": "bench_shapley",
