@@ -1,15 +1,15 @@
 // Microbenchmarks for the hot kernels underneath the experiments. Two parts:
 //
-//  1. The S-KER naive-vs-blocked-vs-vectorized sweep (default): GEMM and
-//     convolution timings at the MNIST-CNN and CIFAR-CNN layer shapes,
-//     written as a speedup table to BENCH_kernels.json (override with
-//     --out). Two acceptance signals: the blocked conv forward+backward
-//     speedup at the CIFAR-CNN shapes (S-KER) and the vectorized
-//     single-thread speedup at the square GEMM shapes, gated at >= 1.3x
-//     (S-VEC; waived, and recorded as such, when the host has a single
-//     core). `--threads N` additionally times the blocked backend at an
-//     intra-op width of N (top-level kernels only; inside the round loop's
-//     per-agent phases kernels stay sequential).
+//  1. The S-KER naive-vs-vectorized sweep (default): GEMM and convolution
+//     timings of the reference and the fast tier at the MNIST-CNN and
+//     CIFAR-CNN layer shapes, written as a speedup table to
+//     BENCH_kernels.json (override with --out). Two acceptance signals: the
+//     vectorized conv forward+backward speedup at the CIFAR-CNN shapes
+//     (S-KER) and the vectorized single-thread speedup at the square GEMM
+//     shapes, gated at >= 1.3x (S-VEC; waived, and recorded as such, when
+//     the host has a single core). `--threads N` additionally times the
+//     vectorized backend at an intra-op width of N (top-level kernels only;
+//     inside the round loop's per-agent phases kernels stay sequential).
 //     Flags: --out <path> --reps <n> --threads <n>
 //
 //  2. The original google-benchmark suite (matmul, model gradients, DP
@@ -74,9 +74,8 @@ struct SweepRow {
   std::string kind;   // "gemm" | "conv"
   std::string shape;  // human-readable
   double naive_ms = 0.0;
-  double blocked_ms = 0.0;
-  double vec_ms = 0.0;         // S-VEC register-tiled backend
-  double blocked_mt_ms = 0.0;  // blocked at --threads width (0 = not run)
+  double vec_ms = 0.0;     // S-VEC register-tiled backend
+  double vec_mt_ms = 0.0;  // vectorized at --threads width (0 = not run)
 };
 
 struct GemmShape {
@@ -125,15 +124,11 @@ SweepRow sweep_gemm(const GemmShape& s, std::size_t reps, std::size_t threads) {
   runtime::set_global_threads(1);
   kernels::set_backend(kernels::Backend::kNaive);
   row.naive_ms = time_ms(reps, [&] { benchmark::DoNotOptimize(run_gemm_once(s, a, b, c)); });
-  kernels::set_backend(kernels::Backend::kBlocked);
-  row.blocked_ms = time_ms(reps, [&] { benchmark::DoNotOptimize(run_gemm_once(s, a, b, c)); });
   kernels::set_backend(kernels::Backend::kVectorized);
   row.vec_ms = time_ms(reps, [&] { benchmark::DoNotOptimize(run_gemm_once(s, a, b, c)); });
   if (threads > 1) {
-    kernels::set_backend(kernels::Backend::kBlocked);
     runtime::set_global_threads(threads);
-    row.blocked_mt_ms =
-        time_ms(reps, [&] { benchmark::DoNotOptimize(run_gemm_once(s, a, b, c)); });
+    row.vec_mt_ms = time_ms(reps, [&] { benchmark::DoNotOptimize(run_gemm_once(s, a, b, c)); });
     runtime::set_global_threads(1);
   }
   return row;
@@ -165,14 +160,11 @@ SweepRow sweep_conv(const ConvShape& s, std::size_t reps, std::size_t threads) {
   runtime::set_global_threads(1);
   kernels::set_backend(kernels::Backend::kNaive);
   row.naive_ms = time_ms(reps, step);
-  kernels::set_backend(kernels::Backend::kBlocked);
-  row.blocked_ms = time_ms(reps, step);
   kernels::set_backend(kernels::Backend::kVectorized);
   row.vec_ms = time_ms(reps, step);
   if (threads > 1) {
-    kernels::set_backend(kernels::Backend::kBlocked);
     runtime::set_global_threads(threads);
-    row.blocked_mt_ms = time_ms(reps, step);
+    row.vec_mt_ms = time_ms(reps, step);
     runtime::set_global_threads(1);
   }
   return row;
@@ -185,11 +177,10 @@ int run_kernel_sweep(const CliArgs& args) {
   const kernels::Backend entry_backend = kernels::backend();
 
   std::printf(
-      "==== bench_micro_kernels: naive vs blocked vs vectorized (reps=%zu, threads=%zu) "
-      "====\n",
-      reps, threads);
-  std::printf("%-16s %-24s %12s %12s %12s %9s %9s\n", "kernel", "shape", "naive_ms",
-              "blocked_ms", "vec_ms", "blk_spd", "vec_spd");
+      "==== bench_micro_kernels: naive vs vectorized (reps=%zu, threads=%zu) ====\n", reps,
+      threads);
+  std::printf("%-16s %-24s %12s %12s %9s\n", "kernel", "shape", "naive_ms", "vec_ms",
+              "vec_spd");
 
   std::vector<SweepRow> rows;
   for (const auto& s : kGemmShapes) rows.push_back(sweep_gemm(s, reps, threads));
@@ -208,40 +199,35 @@ int run_kernel_sweep(const CliArgs& args) {
   double cifar_conv_min_speedup = 1e30;
   double square_gemm_vec_min_speedup = 1e30;
   for (const auto& r : rows) {
-    const double speedup = r.blocked_ms > 0 ? r.naive_ms / r.blocked_ms : 0.0;
     const double vec_speedup = r.vec_ms > 0 ? r.naive_ms / r.vec_ms : 0.0;
     if (r.name.rfind("conv_cifar", 0) == 0) {
-      cifar_conv_min_speedup = std::min(cifar_conv_min_speedup, speedup);
+      cifar_conv_min_speedup = std::min(cifar_conv_min_speedup, vec_speedup);
     }
     if (r.name.rfind("gemm_square", 0) == 0) {
       square_gemm_vec_min_speedup = std::min(square_gemm_vec_min_speedup, vec_speedup);
     }
-    std::printf("%-16s %-24s %12.4f %12.4f %12.4f %8.2fx %8.2fx\n", r.name.c_str(),
-                r.shape.c_str(), r.naive_ms, r.blocked_ms, r.vec_ms, speedup, vec_speedup);
+    std::printf("%-16s %-24s %12.4f %12.4f %8.2fx\n", r.name.c_str(), r.shape.c_str(),
+                r.naive_ms, r.vec_ms, vec_speedup);
     env.add_metric_sample(r.name + ".naive_ms", "ms", r.naive_ms);
-    env.add_metric_sample(r.name + ".blocked_ms", "ms", r.blocked_ms);
     env.add_metric_sample(r.name + ".vec_ms", "ms", r.vec_ms);
-    env.add_metric_sample(r.name + ".speedup", "x", speedup);
     env.add_metric_sample(r.name + ".vec_speedup", "x", vec_speedup);
     pdsl::json::Object o;
     o["name"] = r.name;
     o["kind"] = r.kind;
     o["shape"] = r.shape;
     o["naive_ms"] = r.naive_ms;
-    o["blocked_ms"] = r.blocked_ms;
     o["vec_ms"] = r.vec_ms;
-    o["speedup"] = speedup;
     o["vec_speedup"] = vec_speedup;
-    if (r.blocked_mt_ms > 0) {
-      o["blocked_mt_ms"] = r.blocked_mt_ms;
-      o["speedup_mt_vs_naive"] = r.naive_ms / r.blocked_mt_ms;
+    if (r.vec_mt_ms > 0) {
+      o["vec_mt_ms"] = r.vec_mt_ms;
+      o["speedup_mt_vs_naive"] = r.naive_ms / r.vec_mt_ms;
     }
     env.add_run(std::move(o));
   }
   env.add_metric_sample("cifar_conv_min_speedup", "x", cifar_conv_min_speedup);
   env.add_metric_sample("square_gemm_vec_min_speedup", "x", square_gemm_vec_min_speedup);
 
-  // Two acceptance contracts. S-KER: blocked conv must beat naive at the
+  // Two acceptance contracts. S-KER: vectorized conv must beat naive at the
   // CIFAR-CNN shapes. S-VEC: the register-tiled backend must clear 1.3x over
   // naive on the square GEMM shapes single-threaded — except on a single-core
   // host, where scheduler contention makes the timing unreliable; there the

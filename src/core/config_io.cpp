@@ -76,7 +76,7 @@ json::Value config_to_json(const ExperimentConfig& cfg) {
   o["delta"] = cfg.delta;
   o["phi_hat_min"] = cfg.phi_hat_min;
   o["threads"] = cfg.threads;
-  o["backend"] = cfg.backend;
+  o["backend"] = std::string(cfg.backend ? kernels::backend_name(*cfg.backend) : "");
   o["seed"] = cfg.seed;
   o["drop_prob"] = cfg.drop_prob;
   o["faults"] = sim::fault_plan_to_json(cfg.faults);
@@ -173,7 +173,9 @@ ExperimentConfig config_from_json(const json::Value& v) {
   num("delta", cfg.delta);
   num("phi_hat_min", cfg.phi_hat_min);
   idx("threads", cfg.threads);
-  str("backend", cfg.backend);
+  std::string backend;
+  str("backend", backend);
+  if (!backend.empty()) cfg.backend = kernels::backend_from_string(backend, "backend");
   if (v.contains("seed")) cfg.seed = static_cast<std::uint64_t>(v.at("seed").as_int());
   num("drop_prob", cfg.drop_prob);
   if (v.contains("faults")) cfg.faults = sim::fault_plan_from_json(v.at("faults"));

@@ -139,10 +139,8 @@ const std::vector<std::string>& paper_algorithms() {
 ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   // S-RT: configure the execution width for this run's per-agent phases.
   runtime::set_global_threads(cfg.threads);
-  // S-KER: select the math backend; "" keeps the process default (env var).
-  if (!cfg.backend.empty()) {
-    kernels::set_backend(kernels::backend_from_string(cfg.backend));
-  }
+  // S-KER: select the math backend; empty keeps the process default.
+  if (cfg.backend) kernels::set_backend(*cfg.backend);
 
   Rng rng(cfg.seed);
 

@@ -5,11 +5,13 @@
 // wrapper over run_experiment().
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "algos/common.hpp"
 #include "graph/spectral.hpp"
+#include "kernels/backend.hpp"
 #include "sim/metrics.hpp"
 
 namespace pdsl::core {
@@ -69,14 +71,14 @@ struct ExperimentConfig {
   /// Results are bit-identical at every setting; this is wall-clock only.
   std::size_t threads = 1;
 
-  /// S-KER math backend: "" = keep the process default (PDSL_KERNEL_BACKEND
-  /// env var, else blocked), "blocked" | "naive" | "vectorized" | "auto"
-  /// force one. The naive path is the differential-testing reference;
-  /// "vectorized" (and "auto", which may dispatch to it per shape) is the
-  /// S-VEC fast-math tier — deterministic but only tolerance-banded against
-  /// the reference. See DESIGN.md "S-KER" for the cross-backend numerics
-  /// contract and band policy.
-  std::string backend;
+  /// S-KER math backend: empty = keep the process default (PDSL_KERNEL_BACKEND
+  /// env var, else vectorized); naive | vectorized force one (JSON/CLI
+  /// spelling: "" | "naive" | "vectorized"). The naive path is the reference
+  /// the byte-exact golden fixtures pin; vectorized is the S-VEC fast tier —
+  /// deterministic but only tolerance-banded against the reference. See
+  /// DESIGN.md "S-KER" for the cross-backend numerics contract and band
+  /// policy.
+  std::optional<kernels::Backend> backend;
 
   std::uint64_t seed = 1;
   double drop_prob = 0.0;  ///< legacy alias for faults.drop_prob

@@ -13,15 +13,14 @@ Backend initial_backend() noexcept {
   if (const char* env = std::getenv("PDSL_KERNEL_BACKEND")) {
     const std::string name(env);
     if (name == "naive") return Backend::kNaive;
-    if (name == "vectorized") return Backend::kVectorized;
-    if (name == "auto") return Backend::kAuto;
-    if (!name.empty() && name != "blocked") {
+    if (!name.empty() && name != "vectorized") {
       std::fprintf(stderr,
-                   "PDSL_KERNEL_BACKEND='%s' not recognized, using 'blocked'\n",
+                   "PDSL_KERNEL_BACKEND='%s' not recognized (expected naive | vectorized), "
+                   "using 'vectorized'\n",
                    env);
     }
   }
-  return Backend::kBlocked;
+  return Backend::kVectorized;
 }
 
 std::atomic<Backend>& state() {
@@ -35,40 +34,15 @@ Backend backend() noexcept { return state().load(std::memory_order_relaxed); }
 
 void set_backend(Backend b) noexcept { state().store(b, std::memory_order_relaxed); }
 
-Backend resolve_backend(Backend pinned, std::size_t rows, std::size_t depth,
-                        std::size_t cols) noexcept {
-  if (pinned != Backend::kAuto) return pinned;
-  // Widening before the product keeps 4Gi-element shapes from wrapping on
-  // 32-bit size_t hosts; the thresholds themselves are tiny.
-  const unsigned long long flops = static_cast<unsigned long long>(rows) *
-                                   static_cast<unsigned long long>(depth) *
-                                   static_cast<unsigned long long>(cols);
-  if (flops <= kAutoNaiveMaxFlops) return Backend::kNaive;
-  if (depth >= kAutoVecMinDepth && cols >= kAutoVecMinCols) return Backend::kVectorized;
-  return Backend::kBlocked;
-}
-
-Backend backend_from_string(const std::string& name) {
+Backend backend_from_string(const std::string& name, const std::string& what) {
   if (name == "naive") return Backend::kNaive;
-  if (name == "blocked") return Backend::kBlocked;
   if (name == "vectorized") return Backend::kVectorized;
-  if (name == "auto") return Backend::kAuto;
-  throw std::invalid_argument("kernels: unknown backend '" + name +
-                              "' (expected 'naive', 'blocked', 'vectorized' or 'auto')");
+  throw std::invalid_argument(what + ": unknown kernel backend '" + name +
+                              "' (expected naive | vectorized)");
 }
 
 const char* backend_name(Backend b) noexcept {
-  switch (b) {
-    case Backend::kNaive:
-      return "naive";
-    case Backend::kBlocked:
-      return "blocked";
-    case Backend::kVectorized:
-      return "vectorized";
-    case Backend::kAuto:
-      return "auto";
-  }
-  return "blocked";
+  return b == Backend::kNaive ? "naive" : "vectorized";
 }
 
 }  // namespace pdsl::kernels

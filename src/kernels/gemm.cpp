@@ -11,14 +11,6 @@ namespace pdsl::kernels {
 
 namespace {
 
-// Output rows per register tile: small enough that the tile's accumulator
-// rows stay in registers / L1 across the reduction, large enough to amortize
-// each load of the shared operand row four ways.
-constexpr std::size_t kRowTile = 4;
-// Column block (floats) for the axpy-style kernels: one C-row segment plus
-// one B-row segment per tile row stays L1-resident while the reduction runs.
-constexpr std::size_t kColBlock = 256;
-
 /// Run body(lo, hi) over a static partition of [0, rows). Sequential when the
 /// configured width is 1, when there is nothing to split, or when the caller
 /// already sits inside a parallel_for body (nested parallelism is rejected by
@@ -58,44 +50,6 @@ void naive_sgemm_rows(std::size_t i_begin, std::size_t i_end, std::size_t k, std
   }
 }
 
-void blocked_sgemm_rows(std::size_t i_begin, std::size_t i_end, std::size_t k, std::size_t n,
-                        const float* a, const float* b, float* c) {
-  for (std::size_t j0 = 0; j0 < n; j0 += kColBlock) {
-    const std::size_t j1 = std::min(n, j0 + kColBlock);
-    std::size_t i = i_begin;
-    for (; i + kRowTile <= i_end; i += kRowTile) {
-      const float* __restrict__ a0 = a + (i + 0) * k;
-      const float* __restrict__ a1 = a + (i + 1) * k;
-      const float* __restrict__ a2 = a + (i + 2) * k;
-      const float* __restrict__ a3 = a + (i + 3) * k;
-      float* __restrict__ c0 = c + (i + 0) * n;
-      float* __restrict__ c1 = c + (i + 1) * n;
-      float* __restrict__ c2 = c + (i + 2) * n;
-      float* __restrict__ c3 = c + (i + 3) * n;
-      for (std::size_t p = 0; p < k; ++p) {
-        const float av0 = a0[p], av1 = a1[p], av2 = a2[p], av3 = a3[p];
-        const float* __restrict__ brow = b + p * n;
-        for (std::size_t j = j0; j < j1; ++j) {
-          const float bv = brow[j];
-          c0[j] += av0 * bv;
-          c1[j] += av1 * bv;
-          c2[j] += av2 * bv;
-          c3[j] += av3 * bv;
-        }
-      }
-    }
-    for (; i < i_end; ++i) {
-      const float* __restrict__ arow = a + i * k;
-      float* __restrict__ crow = c + i * n;
-      for (std::size_t p = 0; p < k; ++p) {
-        const float av = arow[p];
-        const float* __restrict__ brow = b + p * n;
-        for (std::size_t j = j0; j < j1; ++j) crow[j] += av * brow[j];
-      }
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // C(k,n) = A(m,k)^T * B(m,n) — output row p of C gathers column p of A.
 // ---------------------------------------------------------------------------
@@ -113,51 +67,16 @@ void naive_sgemm_ta_rows(std::size_t p_begin, std::size_t p_end, std::size_t m, 
   }
 }
 
-void blocked_sgemm_ta_rows(std::size_t p_begin, std::size_t p_end, std::size_t m, std::size_t k,
-                           std::size_t n, const float* a, const float* b, float* c) {
-  for (std::size_t j0 = 0; j0 < n; j0 += kColBlock) {
-    const std::size_t j1 = std::min(n, j0 + kColBlock);
-    std::size_t p = p_begin;
-    for (; p + kRowTile <= p_end; p += kRowTile) {
-      float* __restrict__ c0 = c + (p + 0) * n;
-      float* __restrict__ c1 = c + (p + 1) * n;
-      float* __restrict__ c2 = c + (p + 2) * n;
-      float* __restrict__ c3 = c + (p + 3) * n;
-      for (std::size_t i = 0; i < m; ++i) {
-        const float* acol = a + i * k + p;
-        const float av0 = acol[0], av1 = acol[1], av2 = acol[2], av3 = acol[3];
-        const float* __restrict__ brow = b + i * n;
-        for (std::size_t j = j0; j < j1; ++j) {
-          const float bv = brow[j];
-          c0[j] += av0 * bv;
-          c1[j] += av1 * bv;
-          c2[j] += av2 * bv;
-          c3[j] += av3 * bv;
-        }
-      }
-    }
-    for (; p < p_end; ++p) {
-      float* __restrict__ crow = c + p * n;
-      for (std::size_t i = 0; i < m; ++i) {
-        const float av = a[i * k + p];
-        const float* __restrict__ brow = b + i * n;
-        for (std::size_t j = j0; j < j1; ++j) crow[j] += av * brow[j];
-      }
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // C(m,k) = A(m,n) * B(k,n)^T — independent dot products, double accumulators
 // (matches the original matmul_transpose_b numerics exactly).
 // ---------------------------------------------------------------------------
 
-void naive_sgemm_tb_block(std::size_t i_begin, std::size_t i_end, std::size_t j_begin,
-                          std::size_t j_end, std::size_t n, std::size_t k, const float* a,
-                          const float* b, float* c, bool accumulate) {
+void naive_sgemm_tb_rows(std::size_t i_begin, std::size_t i_end, std::size_t n, std::size_t k,
+                         const float* a, const float* b, float* c, bool accumulate) {
   for (std::size_t i = i_begin; i < i_end; ++i) {
     const float* arow = a + i * n;
-    for (std::size_t j = j_begin; j < j_end; ++j) {
+    for (std::size_t j = 0; j < k; ++j) {
       const float* brow = b + j * n;
       double acc = 0.0;
       for (std::size_t p = 0; p < n; ++p) acc += static_cast<double>(arow[p]) * brow[p];
@@ -170,77 +89,15 @@ void naive_sgemm_tb_block(std::size_t i_begin, std::size_t i_end, std::size_t j_
   }
 }
 
-void naive_sgemm_tb_rows(std::size_t i_begin, std::size_t i_end, std::size_t n, std::size_t k,
-                         const float* a, const float* b, float* c, bool accumulate) {
-  naive_sgemm_tb_block(i_begin, i_end, 0, k, n, k, a, b, c, accumulate);
-}
-
-void blocked_sgemm_tb_rows(std::size_t i_begin, std::size_t i_end, std::size_t n, std::size_t k,
-                           const float* a, const float* b, float* c, bool accumulate) {
-  // 2x4 register tile of independent dot products: each accumulator still
-  // runs over p in ascending order, so every element matches the naive path
-  // bit-for-bit while the A/B rows are reused 4x/2x from registers.
-  std::size_t i = i_begin;
-  for (; i + 2 <= i_end; i += 2) {
-    const float* __restrict__ a0 = a + (i + 0) * n;
-    const float* __restrict__ a1 = a + (i + 1) * n;
-    std::size_t j = 0;
-    for (; j + 4 <= k; j += 4) {
-      const float* __restrict__ b0 = b + (j + 0) * n;
-      const float* __restrict__ b1 = b + (j + 1) * n;
-      const float* __restrict__ b2 = b + (j + 2) * n;
-      const float* __restrict__ b3 = b + (j + 3) * n;
-      double d00 = 0.0, d01 = 0.0, d02 = 0.0, d03 = 0.0;
-      double d10 = 0.0, d11 = 0.0, d12 = 0.0, d13 = 0.0;
-      for (std::size_t p = 0; p < n; ++p) {
-        const double av0 = a0[p], av1 = a1[p];
-        d00 += av0 * b0[p];
-        d01 += av0 * b1[p];
-        d02 += av0 * b2[p];
-        d03 += av0 * b3[p];
-        d10 += av1 * b0[p];
-        d11 += av1 * b1[p];
-        d12 += av1 * b2[p];
-        d13 += av1 * b3[p];
-      }
-      float* c0 = c + (i + 0) * k + j;
-      float* c1 = c + (i + 1) * k + j;
-      if (accumulate) {
-        c0[0] += static_cast<float>(d00);
-        c0[1] += static_cast<float>(d01);
-        c0[2] += static_cast<float>(d02);
-        c0[3] += static_cast<float>(d03);
-        c1[0] += static_cast<float>(d10);
-        c1[1] += static_cast<float>(d11);
-        c1[2] += static_cast<float>(d12);
-        c1[3] += static_cast<float>(d13);
-      } else {
-        c0[0] = static_cast<float>(d00);
-        c0[1] = static_cast<float>(d01);
-        c0[2] = static_cast<float>(d02);
-        c0[3] = static_cast<float>(d03);
-        c1[0] = static_cast<float>(d10);
-        c1[1] = static_cast<float>(d11);
-        c1[2] = static_cast<float>(d12);
-        c1[3] = static_cast<float>(d13);
-      }
-    }
-    if (j < k) naive_sgemm_tb_block(i, i + 2, j, k, n, k, a, b, c, accumulate);
-  }
-  if (i < i_end) naive_sgemm_tb_rows(i, i_end, n, k, a, b, c, accumulate);
-}
-
 }  // namespace
 
 void sgemm(std::size_t m, std::size_t k, std::size_t n, const float* a, const float* b,
            float* c, bool accumulate) {
-  const Backend be = resolve_backend(backend(), m, k, n);
+  const bool vectorized = backend() == Backend::kVectorized;
   for_row_range(m, [&](std::size_t lo, std::size_t hi) {
     if (!accumulate) std::fill(c + lo * n, c + hi * n, 0.0f);
-    if (be == Backend::kVectorized) {
+    if (vectorized) {
       vec_sgemm_rows(lo, hi, k, n, a, b, c);
-    } else if (be == Backend::kBlocked) {
-      blocked_sgemm_rows(lo, hi, k, n, a, b, c);
     } else {
       naive_sgemm_rows(lo, hi, k, n, a, b, c);
     }
@@ -249,13 +106,11 @@ void sgemm(std::size_t m, std::size_t k, std::size_t n, const float* a, const fl
 
 void sgemm_transpose_a(std::size_t m, std::size_t k, std::size_t n, const float* a,
                        const float* b, float* c, bool accumulate) {
-  const Backend be = resolve_backend(backend(), k, m, n);
+  const bool vectorized = backend() == Backend::kVectorized;
   for_row_range(k, [&](std::size_t lo, std::size_t hi) {
     if (!accumulate) std::fill(c + lo * n, c + hi * n, 0.0f);
-    if (be == Backend::kVectorized) {
+    if (vectorized) {
       vec_sgemm_ta_rows(lo, hi, m, k, n, a, b, c);
-    } else if (be == Backend::kBlocked) {
-      blocked_sgemm_ta_rows(lo, hi, m, k, n, a, b, c);
     } else {
       naive_sgemm_ta_rows(lo, hi, m, k, n, a, b, c);
     }
@@ -264,12 +119,10 @@ void sgemm_transpose_a(std::size_t m, std::size_t k, std::size_t n, const float*
 
 void sgemm_transpose_b(std::size_t m, std::size_t n, std::size_t k, const float* a,
                        const float* b, float* c, bool accumulate) {
-  const Backend be = resolve_backend(backend(), m, n, k);
+  const bool vectorized = backend() == Backend::kVectorized;
   for_row_range(m, [&](std::size_t lo, std::size_t hi) {
-    if (be == Backend::kVectorized) {
+    if (vectorized) {
       vec_sgemm_tb_rows(lo, hi, n, k, a, b, c, accumulate);
-    } else if (be == Backend::kBlocked) {
-      blocked_sgemm_tb_rows(lo, hi, n, k, a, b, c, accumulate);
     } else {
       naive_sgemm_tb_rows(lo, hi, n, k, a, b, c, accumulate);
     }

@@ -9,17 +9,14 @@
 //
 // With `accumulate` the product is added to C instead of overwriting it.
 //
-// Each entry point dispatches on kernels::backend() (resolved per shape when
-// the backend is kAuto — see backend.hpp): the naive path is the original
-// triple loop (zero-skip shortcuts removed — they silently dropped NaN/Inf
-// propagation from the other operand); the blocked path register-tiles output
-// rows and blocks columns so the inner loops stream contiguously and
-// vectorize. Naive and blocked accumulate every output element in the same
-// reduction order, so their results are bit-identical. The vectorized path
-// (microkernel.hpp) keeps accumulator tiles register-resident and reduces in
-// fixed float lanes — deterministic but only tolerance-banded against the
-// reference. Every path's optional intra-op parallelism partitions complete
-// output rows, so results are bit-identical at every --threads width.
+// Each entry point dispatches on kernels::backend() (see backend.hpp): the
+// naive path is the reference triple loop (zero-skip shortcuts removed — they
+// silently dropped NaN/Inf propagation from the other operand); the
+// vectorized path (microkernel.hpp) keeps accumulator tiles register-resident
+// and reduces in fixed float lanes — deterministic but only tolerance-banded
+// against the reference. Both paths' optional intra-op parallelism partitions
+// complete output rows, so results are bit-identical at every --threads
+// width.
 //
 // Intra-op parallelism engages only when runtime::global_threads() > 1 and
 // the caller is NOT already inside a runtime::parallel_for body (the round

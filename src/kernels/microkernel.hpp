@@ -1,13 +1,11 @@
 #pragma once
 // S-VEC register-tiled vectorized GEMM microkernels — the fast-math tier.
 //
-// The blocked backend (gemm.cpp) is deliberately memory-shaped like the naive
-// loops so it stays bit-identical to the reference: every output element is a
-// single ascending-index accumulation chain that round-trips through the C
-// row on each step of the reduction. That contract caps it at ~1.0x on
-// flop-bound square GEMMs — the inner axpy pays two loads and a store of C
-// per FMA. The vectorized tier drops the bit-identity contract (banded
-// equivalence instead, see DESIGN.md "S-KER" band policy) and keeps the whole
+// The naive reference (gemm.cpp) accumulates every output element as a
+// single ascending-index chain that round-trips through the C row on each
+// step of the reduction: the inner axpy pays two loads and a store of C per
+// multiply-add. This tier drops the bit-identity contract (banded equivalence
+// instead, see DESIGN.md "S-KER" band policy) and keeps the whole
 // accumulator tile in registers across the reduction:
 //
 //   * sgemm / sgemm_transpose_a: a kVecRowTile x kVecColTile register tile of
@@ -27,7 +25,7 @@
 //     deterministic and bit-stable across --threads widths, just not equal
 //     to the double-accumulated reference.
 //
-// Every function below works on the same row-range contract as the blocked
+// Every function below works on the same row-range contract as the naive
 // kernels in gemm.cpp: the caller zero-fills C rows when not accumulating
 // (sgemm/transpose_a add into C unconditionally), and partitions complete
 // output rows across threads, so any partition yields the same bits.

@@ -39,9 +39,8 @@ Shape Conv2D::output_shape(const Shape& input) const {
 Tensor Conv2D::forward(const Tensor& input) {
   const Shape out_shape = output_shape(input.shape());
   cached_input_ = input;
-  // Every non-naive backend (blocked, vectorized, auto) lowers to im2col —
-  // the inner GEMMs then dispatch per shape as usual.
-  if (kernels::backend() != kernels::Backend::kNaive) {
+  // The vectorized backend lowers to im2col + the vectorized GEMMs.
+  if (kernels::backend() == kernels::Backend::kVectorized) {
     return forward_im2col(input, out_shape);
   }
   return forward_direct(input, out_shape);
@@ -52,14 +51,14 @@ Tensor Conv2D::backward(const Tensor& grad_output) {
   if (grad_output.shape() != out_shape) {
     throw std::invalid_argument("Conv2D::backward: bad grad shape");
   }
-  if (kernels::backend() != kernels::Backend::kNaive) {
+  if (kernels::backend() == kernels::Backend::kVectorized) {
     return backward_im2col(grad_output, out_shape);
   }
   return backward_direct(grad_output, out_shape);
 }
 
 // ---------------------------------------------------------------------------
-// Blocked path: per image, lower to a column matrix and run GEMMs.
+// Vectorized path: per image, lower to a column matrix and run GEMMs.
 //   forward:  Y_b(out_ch, oh*ow)  = W(out_ch, ickk) * col_b  (rows seeded
 //             with the bias, GEMM accumulates on top)
 //   backward: dW += dY_b * col_b^T ; dcol = W^T * dY_b ; dX_b = col2im(dcol)

@@ -1,11 +1,11 @@
 #pragma once
 // 2-D convolution (stride 1, symmetric zero padding). Two implementations,
-// selected by kernels::backend(): the blocked path lowers each image to an
+// selected by kernels::backend(): the vectorized path lowers each image to an
 // im2col column matrix held in a per-layer scratch arena and runs the S-KER
 // GEMMs (forward, weight gradient, input gradient via col2im); the naive path
-// keeps the original direct six-loop form as a differential-testing
-// reference. Both paths agree to rounding error (the reductions associate
-// differently); each path is deterministic at every --threads width.
+// keeps the original direct six-loop form as the reference. Both paths agree
+// within the S-VEC tolerance band (the reductions associate differently);
+// each path is deterministic at every --threads width.
 
 #include "kernels/im2col.hpp"
 #include "nn/layer.hpp"

@@ -42,7 +42,7 @@ double loss_on(nn::Model& workspace, const std::vector<float>& params, const Fix
 /// first-layer pre-activation equals the mean of the members'
 /// pre-activations: X·mean(W_j)^T + mean(b_j) = mean(X·W_j^T + b_j).
 /// set_members() runs the dominant first layer ONCE per member, as stacked
-/// blocked GEMMs over the members' vertically stacked weight matrices —
+/// GEMMs over the members' vertically stacked weight matrices —
 /// C(N, K·out) = X(N, in) · Wcat(K·out, in)^T; coalition_accuracies()/
 /// coalition_losses() then score each coalition mask with a cheap (N, out)
 /// average + the small later layers, skipping the first-layer GEMM and the

@@ -2,7 +2,7 @@
 //
 //   * Byte-exact tier: guard over the numeric columns of the per-round
 //     metrics CSV for every algorithm, fault-free and under seeded fault
-//     injection, pinned to the bit-identical backends (blocked kernels,
+//     injection, pinned to the bit-exact reference paths (naive kernels,
 //     sequential Shapley eval). Any change to the math — kernels, RNG
 //     consumption order, aggregation, fault hashing — shows up here as a
 //     cell diff, with tolerance ZERO: the S-RT contract says same seed +
@@ -84,10 +84,10 @@ ExperimentConfig base_config() {
   cfg.threads = 1;
   cfg.metrics.eval_every = 1;
   cfg.metrics.test_subsample = 100;
-  // The byte-exact tier pins the bit-identical reference paths explicitly:
-  // the process defaults (shapley_eval = "linear", and blocked kernels today)
-  // may move to faster banded tiers without invalidating these fixtures.
-  cfg.backend = "blocked";
+  // The byte-exact tier pins the bit-exact reference paths explicitly: the
+  // process defaults (linear Shapley eval, vectorized kernels) are faster
+  // banded tiers and may change without invalidating these fixtures.
+  cfg.backend = pdsl::kernels::Backend::kNaive;
   cfg.hp.shapley_eval = pdsl::algos::ShapleyEval::kSequential;
   return cfg;
 }
@@ -143,7 +143,7 @@ std::vector<Scenario> banded_scenarios() {
     // register-tiled microkernel.
     ExperimentConfig cfg = base_config();
     cfg.algorithm = "pdsl";
-    cfg.backend = "vectorized";
+    cfg.backend = pdsl::kernels::Backend::kVectorized;
     out.push_back({"pdsl_vectorized", cfg});
   }
   {

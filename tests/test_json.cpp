@@ -95,8 +95,10 @@ TEST(ConfigIo, RoundTripPreservesEveryField) {
   cfg.epsilon = 0.07;
   cfg.seed = 1234;
   cfg.compression = "quant:8";
+  cfg.backend = kernels::Backend::kNaive;
 
   const json::Value cfg_json = core::config_to_json(cfg);
+  EXPECT_EQ(cfg_json.at("backend").as_string(), "naive");
   EXPECT_EQ(cfg_json.at("shapley_method").as_string(), "tmc");
   EXPECT_EQ(cfg_json.at("shapley_eval").as_string(), "sequential");
   const auto restored = core::config_from_json(cfg_json);
@@ -121,6 +123,7 @@ TEST(ConfigIo, RoundTripPreservesEveryField) {
   EXPECT_DOUBLE_EQ(restored.epsilon, cfg.epsilon);
   EXPECT_EQ(restored.seed, cfg.seed);
   EXPECT_EQ(restored.compression, cfg.compression);
+  EXPECT_EQ(restored.backend, cfg.backend);
 }
 
 TEST(ConfigIo, PartialConfigKeepsDefaults) {
@@ -140,6 +143,27 @@ TEST(ConfigIo, UnknownShapleyNamesAreRejectedAtParse) {
                std::invalid_argument);
   EXPECT_THROW(core::config_from_json(parse(R"({"shapley_method": "bogus"})")),
                std::invalid_argument);
+}
+
+// The kernel backend is parsed once, at load: the retired backends fail
+// there, naming the key and the valid values. An empty name (the spelling of
+// "keep the process default", and what a default config writes, so old
+// checkpoints keep their identity hash) maps to no override.
+TEST(ConfigIo, UnknownBackendNamesAreRejectedAtParse) {
+  for (const char* doc : {R"({"backend": "blocked"})", R"({"backend": "auto"})"}) {
+    try {
+      (void)core::config_from_json(parse(doc));
+      ADD_FAILURE() << doc << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("backend"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("naive | vectorized"), std::string::npos) << msg;
+    }
+  }
+  EXPECT_EQ(core::config_from_json(parse(R"({"backend": "vectorized"})")).backend,
+            kernels::Backend::kVectorized);
+  EXPECT_FALSE(core::config_from_json(parse(R"({"backend": ""})")).backend.has_value());
+  EXPECT_EQ(core::config_to_json(core::ExperimentConfig{}).at("backend").as_string(), "");
 }
 
 TEST(ConfigIo, LoadFromFile) {

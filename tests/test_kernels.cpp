@@ -1,20 +1,19 @@
-// S-KER differential tests: blocked-vs-naive agreement for the GEMM family
-// (bit-identical — the blocked kernels preserve the naive accumulation order)
-// and the im2col convolution (tight tolerance — the reduction associates
-// differently), NaN/Inf propagation regressions for the removed zero-skip
-// shortcuts, and the intra-op determinism contract (bit-identical results at
-// any --threads width, including a full PDSL round loop on the blocked
-// backend with a CNN model).
+// S-KER differential tests for the two kernel tiers: NaN/Inf propagation
+// regressions for the removed zero-skip shortcuts, the intra-op determinism
+// contract (bit-identical results at any --threads width, including a full
+// PDSL round loop with a CNN model, on both tiers), and the backend registry
+// (vectorized is the default; retired names are refused).
 //
-// S-VEC additions: randomized-shape fuzz of the vectorized tier against naive
-// within the documented tolerance band (plus ragged tails, unit/empty dims,
-// NaN/Inf propagation), bit-stability of the vectorized tier across --threads
-// widths and across reruns, and table-driven unit tests pinning the
-// resolve_backend() auto-dispatch thresholds.
+// S-VEC: randomized-shape fuzz of the vectorized tier against naive within
+// the documented tolerance band (plus ragged tails, unit/empty dims, NaN/Inf
+// propagation at every lane offset) and the im2col convolution against the
+// direct one within the same band.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -56,7 +55,7 @@ struct GemmShape {
 };
 
 // Odd shapes on purpose: unit dims hit the register-tile remainders, 17/13/19
-// straddle the blocking, 0 exercises the empty range, 64s hit full tiles.
+// straddle the tiles, 0 exercises the empty range, 64s hit full tiles.
 const std::vector<GemmShape> kShapes = {
     {1, 1, 1}, {1, 7, 3}, {5, 1, 4}, {4, 6, 1}, {2, 3, 2},
     {17, 13, 19}, {32, 64, 32}, {64, 64, 64}, {0, 5, 7}, {5, 0, 7}, {5, 7, 0},
@@ -65,71 +64,41 @@ const std::vector<GemmShape> kShapes = {
 using RawGemm = void (*)(std::size_t, std::size_t, std::size_t, const float*, const float*,
                          float*, bool);
 
-void expect_backends_bit_identical(RawGemm fn, std::size_t m, std::size_t k, std::size_t n,
-                                   std::size_t a_elems, std::size_t b_elems,
-                                   std::size_t c_elems, bool accumulate) {
-  const auto a = random_vec(a_elems, 11);
-  const auto b = random_vec(b_elems, 23);
-  const auto seed_c = random_vec(c_elems, 37);
-  std::vector<float> c_naive = accumulate ? seed_c : std::vector<float>(c_elems, -7.0f);
-  std::vector<float> c_blocked = c_naive;
-  kernels::set_backend(kernels::Backend::kNaive);
-  fn(m, k, n, a.data(), b.data(), c_naive.data(), accumulate);
-  kernels::set_backend(kernels::Backend::kBlocked);
-  fn(m, k, n, a.data(), b.data(), c_blocked.data(), accumulate);
-  EXPECT_EQ(c_naive, c_blocked) << "m=" << m << " k=" << k << " n=" << n
-                                << " accumulate=" << accumulate;
-}
+constexpr kernels::Backend kBothTiers[] = {kernels::Backend::kNaive,
+                                           kernels::Backend::kVectorized};
 
 }  // namespace
 
 TEST(Kernels, BackendRegistry) {
   KernelEnvGuard guard;
-  EXPECT_EQ(kernels::backend_from_string("naive"), kernels::Backend::kNaive);
-  EXPECT_EQ(kernels::backend_from_string("blocked"), kernels::Backend::kBlocked);
-  EXPECT_EQ(kernels::backend_from_string("vectorized"), kernels::Backend::kVectorized);
-  EXPECT_EQ(kernels::backend_from_string("auto"), kernels::Backend::kAuto);
-  EXPECT_THROW(static_cast<void>(kernels::backend_from_string("fast")), std::invalid_argument);
-  for (const auto be : {kernels::Backend::kNaive, kernels::Backend::kBlocked,
-                        kernels::Backend::kVectorized, kernels::Backend::kAuto}) {
+  // Every test restores the backend it set, so without the env override the
+  // process still runs on the library default here.
+  const char* env = std::getenv("PDSL_KERNEL_BACKEND");
+  if (env == nullptr || *env == '\0') {
+    EXPECT_EQ(kernels::backend(), kernels::Backend::kVectorized);
+  }
+  EXPECT_EQ(kernels::backend_from_string("naive", "backend"), kernels::Backend::kNaive);
+  EXPECT_EQ(kernels::backend_from_string("vectorized", "backend"),
+            kernels::Backend::kVectorized);
+  for (const char* unknown : {"blocked", "auto", "fast", ""}) {
+    try {
+      (void)kernels::backend_from_string(unknown, "--backend");
+      ADD_FAILURE() << "'" << unknown << "' was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_EQ(msg.rfind("--backend", 0), 0u) << msg;
+      EXPECT_NE(msg.find("naive | vectorized"), std::string::npos) << msg;
+    }
+  }
+  for (const auto be : kBothTiers) {
     kernels::set_backend(be);
-    EXPECT_EQ(kernels::backend_from_string(kernels::backend_name(kernels::backend())), be);
-  }
-}
-
-TEST(Kernels, SgemmBlockedBitIdenticalToNaive) {
-  KernelEnvGuard guard;
-  for (const auto& s : kShapes) {
-    for (const bool acc : {false, true}) {
-      expect_backends_bit_identical(kernels::sgemm, s.m, s.k, s.n, s.m * s.k, s.k * s.n,
-                                    s.m * s.n, acc);
-    }
-  }
-}
-
-TEST(Kernels, SgemmTransposeABlockedBitIdenticalToNaive) {
-  KernelEnvGuard guard;
-  for (const auto& s : kShapes) {
-    for (const bool acc : {false, true}) {
-      expect_backends_bit_identical(kernels::sgemm_transpose_a, s.m, s.k, s.n, s.m * s.k,
-                                    s.m * s.n, s.k * s.n, acc);
-    }
-  }
-}
-
-TEST(Kernels, SgemmTransposeBBlockedBitIdenticalToNaive) {
-  KernelEnvGuard guard;
-  for (const auto& s : kShapes) {
-    for (const bool acc : {false, true}) {
-      // sgemm_transpose_b(m, n, k): A(m,n), B(k,n), C(m,k).
-      expect_backends_bit_identical(kernels::sgemm_transpose_b, s.m, s.k, s.n, s.m * s.k,
-                                    s.n * s.k, s.m * s.n, acc);
-    }
+    EXPECT_EQ(kernels::backend_from_string(kernels::backend_name(kernels::backend()), "backend"),
+              be);
   }
 }
 
 // The old in-place matmuls skipped the inner loop when an A element was
-// exactly 0, silently dropping NaN/Inf propagation from B. Both backends must
+// exactly 0, silently dropping NaN/Inf propagation from B. Both tiers must
 // propagate.
 TEST(Kernels, MatmulPropagatesNanThroughZeroOperand) {
   KernelEnvGuard guard;
@@ -137,8 +106,7 @@ TEST(Kernels, MatmulPropagatesNanThroughZeroOperand) {
   Tensor a(Shape{2, 2});  // all zeros
   Tensor b(Shape{2, 2});
   b.at2(0, 0) = nan;
-  for (const auto be : {kernels::Backend::kNaive, kernels::Backend::kBlocked,
-                        kernels::Backend::kVectorized}) {
+  for (const auto be : kBothTiers) {
     kernels::set_backend(be);
     const Tensor c = matmul(a, b);
     EXPECT_TRUE(std::isnan(c.at2(0, 0))) << kernels::backend_name(be);
@@ -154,8 +122,7 @@ TEST(Kernels, MatmulPropagatesNanThroughZeroOperand) {
 
 TEST(Kernels, ConvBackwardPropagatesNanThroughZeroGrad) {
   KernelEnvGuard guard;
-  for (const auto be : {kernels::Backend::kNaive, kernels::Backend::kBlocked,
-                        kernels::Backend::kVectorized}) {
+  for (const auto be : kBothTiers) {
     kernels::set_backend(be);
     nn::Conv2D conv(1, 1, 1, 0);
     Rng rng(3);
@@ -239,35 +206,9 @@ void run_conv_both_backends(const ConvCase& cc, Tensor* fwd_out, Tensor* gx_out,
 
 }  // namespace
 
-TEST(Kernels, ConvIm2colAgreesWithDirectAcrossShapes) {
-  KernelEnvGuard guard;
-  for (const auto& cc : kConvCases) {
-    Tensor y_naive, gx_naive, y_blocked, gx_blocked;
-    std::vector<std::vector<float>> g_naive, g_blocked;
-    run_conv_both_backends(cc, &y_naive, &gx_naive, &g_naive, kernels::Backend::kNaive);
-    run_conv_both_backends(cc, &y_blocked, &gx_blocked, &g_blocked,
-                           kernels::Backend::kBlocked);
-    ASSERT_EQ(y_naive.shape(), y_blocked.shape());
-    const double tol = 1e-4;
-    for (std::size_t i = 0; i < y_naive.numel(); ++i) {
-      ASSERT_NEAR(y_naive[i], y_blocked[i], tol) << "forward, k=" << cc.k;
-    }
-    for (std::size_t i = 0; i < gx_naive.numel(); ++i) {
-      ASSERT_NEAR(gx_naive[i], gx_blocked[i], tol) << "grad_input, k=" << cc.k;
-    }
-    ASSERT_EQ(g_naive.size(), g_blocked.size());
-    for (std::size_t p = 0; p < g_naive.size(); ++p) {
-      ASSERT_EQ(g_naive[p].size(), g_blocked[p].size());
-      for (std::size_t i = 0; i < g_naive[p].size(); ++i) {
-        ASSERT_NEAR(g_naive[p][i], g_blocked[p][i], tol) << "param " << p << ", k=" << cc.k;
-      }
-    }
-  }
-}
-
 TEST(Kernels, ArenaReusesBuffersAcrossBatches) {
   KernelEnvGuard guard;
-  kernels::set_backend(kernels::Backend::kBlocked);
+  kernels::set_backend(kernels::Backend::kVectorized);  // the im2col path
   nn::Conv2D conv(2, 4, 3, 1);
   Rng rng(9);
   conv.init(rng);
@@ -286,53 +227,61 @@ TEST(Kernels, ArenaReusesBuffersAcrossBatches) {
   EXPECT_EQ(y1.vec(), y.vec());
 }
 
-TEST(Kernels, IntraOpGemmBitIdenticalAcrossWidths) {
+// Both tiers are bit-identical to themselves across reruns and across
+// --threads widths: the vectorized lane split and reduction tree depend only
+// on the reduction length, and the intra-op partition hands out complete
+// output rows.
+TEST(Kernels, IntraOpGemmBitIdenticalAcrossWidthsAndReruns) {
   KernelEnvGuard guard;
-  kernels::set_backend(kernels::Backend::kBlocked);
   const std::size_t m = 37, k = 53, n = 41;
   const auto a = random_vec(m * k, 51);
   const auto b = random_vec(k * n, 53);
-  std::vector<std::vector<float>> results;
-  for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
-    runtime::set_global_threads(width);
-    std::vector<float> c(m * n);
-    kernels::sgemm(m, k, n, a.data(), b.data(), c.data());
-    std::vector<float> ct(k * n);
-    kernels::sgemm_transpose_a(m, k, n, a.data(), b.data(), ct.data());
-    std::vector<float> cb(m * m);
-    kernels::sgemm_transpose_b(m, k, m, a.data(), a.data(), cb.data());
-    c.insert(c.end(), ct.begin(), ct.end());
-    c.insert(c.end(), cb.begin(), cb.end());
-    results.push_back(std::move(c));
+  for (const auto be : kBothTiers) {
+    kernels::set_backend(be);
+    std::vector<std::vector<float>> results;
+    for (const std::size_t width : {std::size_t{1}, std::size_t{1}, std::size_t{4}}) {
+      runtime::set_global_threads(width);
+      std::vector<float> c(m * n);
+      kernels::sgemm(m, k, n, a.data(), b.data(), c.data());
+      std::vector<float> ct(k * n);
+      kernels::sgemm_transpose_a(m, k, n, a.data(), b.data(), ct.data());
+      std::vector<float> cb(m * m);
+      kernels::sgemm_transpose_b(m, k, m, a.data(), a.data(), cb.data());
+      c.insert(c.end(), ct.begin(), ct.end());
+      c.insert(c.end(), cb.begin(), cb.end());
+      results.push_back(std::move(c));
+    }
+    EXPECT_EQ(results[0], results[1]) << "rerun at width 1, " << kernels::backend_name(be);
+    EXPECT_EQ(results[0], results[2]) << "width 1 vs width 4, " << kernels::backend_name(be);
   }
-  EXPECT_EQ(results[0], results[1]);
 }
 
 TEST(Kernels, KernelsInsideParallelForDegradeToSequential) {
   KernelEnvGuard guard;
-  kernels::set_backend(kernels::Backend::kBlocked);
   runtime::set_global_threads(4);
   const std::size_t m = 16, k = 8, n = 8;
   const auto a = random_vec(m * k, 61);
   const auto b = random_vec(k * n, 67);
-  std::vector<float> reference(m * n);
-  kernels::sgemm(m, k, n, a.data(), b.data(), reference.data());
-  // From inside a parallel_for body the kernel must not attempt nested
-  // parallelism (which throws) and must produce the same bits.
-  std::vector<std::vector<float>> per_slot(4, std::vector<float>(m * n));
-  runtime::parallel_for(0, 4, 1, [&](std::size_t i) {
-    kernels::sgemm(m, k, n, a.data(), b.data(), per_slot[i].data());
-  });
-  for (const auto& c : per_slot) EXPECT_EQ(c, reference);
+  for (const auto be : kBothTiers) {
+    kernels::set_backend(be);
+    std::vector<float> reference(m * n);
+    kernels::sgemm(m, k, n, a.data(), b.data(), reference.data());
+    // From inside a parallel_for body the kernel must not attempt nested
+    // parallelism (which throws) and must produce the same bits.
+    std::vector<std::vector<float>> per_slot(4, std::vector<float>(m * n));
+    runtime::parallel_for(0, 4, 1, [&](std::size_t i) {
+      kernels::sgemm(m, k, n, a.data(), b.data(), per_slot[i].data());
+    });
+    for (const auto& c : per_slot) EXPECT_EQ(c, reference) << kernels::backend_name(be);
+  }
 }
 
-TEST(Kernels, PdslRoundLoopBitIdenticalAcrossWidthsOnBlockedBackend) {
+TEST(Kernels, PdslRoundLoopBitIdenticalAcrossWidths) {
   KernelEnvGuard guard;
   core::ExperimentConfig cfg;
   cfg.algorithm = "pdsl";
   cfg.dataset = "mnist_like";
   cfg.model = "mnist_cnn";
-  cfg.backend = "blocked";
   cfg.agents = 4;
   cfg.rounds = 2;
   cfg.train_samples = 160;
@@ -344,17 +293,21 @@ TEST(Kernels, PdslRoundLoopBitIdenticalAcrossWidthsOnBlockedBackend) {
   cfg.hp.validation_batch = 16;
   cfg.metrics.eval_every = 0;
   cfg.seed = 7;
-  cfg.threads = 1;
-  const auto seq = core::run_experiment(cfg);
-  cfg.threads = 4;
-  const auto par = core::run_experiment(cfg);
-  ASSERT_EQ(seq.average_model.size(), par.average_model.size());
-  EXPECT_EQ(seq.average_model, par.average_model);
-  EXPECT_EQ(sim::deterministic_mismatch(seq.series, par.series), "");
+  for (const auto be : kBothTiers) {
+    cfg.backend = be;
+    cfg.threads = 1;
+    const auto seq = core::run_experiment(cfg);
+    cfg.threads = 4;
+    const auto par = core::run_experiment(cfg);
+    ASSERT_EQ(seq.average_model.size(), par.average_model.size());
+    EXPECT_EQ(seq.average_model, par.average_model) << kernels::backend_name(be);
+    EXPECT_EQ(sim::deterministic_mismatch(seq.series, par.series), "")
+        << kernels::backend_name(be);
+  }
 }
 
 // ---------------------------------------------------------------------------
-// S-VEC: the vectorized fast-math tier. Not bit-identical to naive/blocked —
+// S-VEC: the vectorized fast tier. Not bit-identical to naive —
 // it reassociates reductions (fixed lanes + fixed fold) and compiles with FMA
 // contraction — so the differential contract is a tolerance band:
 //   |got - want| <= abs + rel * |want|
@@ -458,33 +411,6 @@ TEST(KernelsVec, FixedShapeTableWithinBandOfNaive) {
   }
 }
 
-// Determinism contract of the fast-math tier: banded against the reference,
-// but bit-identical to ITSELF across reruns and across --threads widths (the
-// lane split and reduction tree depend only on the reduction length, and the
-// intra-op partition hands out complete output rows).
-TEST(KernelsVec, VectorizedBitIdenticalAcrossWidthsAndReruns) {
-  KernelEnvGuard guard;
-  kernels::set_backend(kernels::Backend::kVectorized);
-  const std::size_t m = 37, k = 53, n = 41;
-  const auto a = random_vec(m * k, 71);
-  const auto b = random_vec(k * n, 73);
-  std::vector<std::vector<float>> results;
-  for (const std::size_t width : {std::size_t{1}, std::size_t{1}, std::size_t{4}}) {
-    runtime::set_global_threads(width);
-    std::vector<float> c(m * n);
-    kernels::sgemm(m, k, n, a.data(), b.data(), c.data());
-    std::vector<float> ct(k * n);
-    kernels::sgemm_transpose_a(m, k, n, a.data(), b.data(), ct.data());
-    std::vector<float> cb(m * m);
-    kernels::sgemm_transpose_b(m, k, m, a.data(), a.data(), cb.data());
-    c.insert(c.end(), ct.begin(), ct.end());
-    c.insert(c.end(), cb.begin(), cb.end());
-    results.push_back(std::move(c));
-  }
-  EXPECT_EQ(results[0], results[1]) << "rerun at width 1";
-  EXPECT_EQ(results[0], results[2]) << "width 1 vs width 4";
-}
-
 // Inf * 0 and NaN must survive the lane fold and the register tiles: seed a
 // single pathological element at every alignment class within the first
 // kVecColTile columns and check it lands in (exactly) the affected outputs.
@@ -530,85 +456,5 @@ TEST(KernelsVec, ConvVectorizedAgreesWithDirectWithinBand) {
     for (std::size_t p = 0; p < g_naive.size(); ++p) {
       expect_within_band(g_vec[p], g_naive[p], cc.batch * cc.ih * cc.iw, "conv param grad");
     }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// resolve_backend() auto-dispatch: table-driven boundary pins. The thresholds
-// are part of the public contract (backend.hpp documents them); moving one is
-// an intentional change that must edit this table.
-// ---------------------------------------------------------------------------
-
-TEST(KernelsVec, ResolveBackendPinnedBackendsPassThrough) {
-  for (const auto be : {kernels::Backend::kNaive, kernels::Backend::kBlocked,
-                        kernels::Backend::kVectorized}) {
-    // Pinning wins regardless of shape, including degenerate ones.
-    EXPECT_EQ(kernels::resolve_backend(be, 0, 0, 0), be);
-    EXPECT_EQ(kernels::resolve_backend(be, 1, 1, 1), be);
-    EXPECT_EQ(kernels::resolve_backend(be, 1000, 1000, 1000), be);
-  }
-}
-
-TEST(KernelsVec, ResolveBackendAutoThresholdTable) {
-  using kernels::Backend;
-  const auto resolve = [](std::size_t rows, std::size_t depth, std::size_t cols) {
-    return kernels::resolve_backend(Backend::kAuto, rows, depth, cols);
-  };
-  struct Row {
-    std::size_t rows, depth, cols;
-    Backend want;
-    const char* why;
-  };
-  static_assert(kernels::kAutoNaiveMaxFlops == 4096, "update the table below");
-  static_assert(kernels::kAutoVecMinDepth == 16, "update the table below");
-  static_assert(kernels::kAutoVecMinCols == 8, "update the table below");
-  const Row table[] = {
-      // Tiny-flops boundary: <= 4096 multiply-adds goes naive.
-      {16, 16, 16, Backend::kNaive, "16*16*16 == 4096: at the boundary, naive"},
-      {16, 16, 17, Backend::kVectorized, "4352 flops, deep+wide enough for vec"},
-      {1, 4096, 1, Backend::kNaive, "flops == threshold regardless of aspect"},
-      {0, 100, 100, Backend::kNaive, "zero rows: empty call, naive"},
-      {100, 0, 100, Backend::kNaive, "zero depth: zero-fill only, naive"},
-      {100, 100, 0, Backend::kNaive, "zero cols: empty call, naive"},
-      // Depth boundary at kAutoVecMinDepth = 16.
-      {100, 15, 100, Backend::kBlocked, "depth 15: one short of the vec floor"},
-      {100, 16, 100, Backend::kVectorized, "depth 16: at the vec floor"},
-      // Cols boundary at kAutoVecMinCols = 8.
-      {100, 100, 7, Backend::kBlocked, "cols 7: one short of the vec floor"},
-      {100, 100, 8, Backend::kVectorized, "cols 8: at the vec floor"},
-      // Big-but-shallow and big-but-narrow stay blocked (bit-identical tier).
-      {4096, 8, 512, Backend::kBlocked, "shallow reduction"},
-      {4096, 512, 4, Backend::kBlocked, "narrow output"},
-      // The canonical model shapes all go vectorized.
-      {32, 144, 10, Backend::kVectorized, "MNIST FC batch GEMM"},
-      {32, 256, 64, Backend::kVectorized, "CIFAR FC1 batch GEMM"},
-      {256, 256, 256, Backend::kVectorized, "square GEMM"},
-  };
-  for (const auto& row : table) {
-    EXPECT_EQ(resolve(row.rows, row.depth, row.cols), row.want)
-        << row.why << " (rows=" << row.rows << " depth=" << row.depth
-        << " cols=" << row.cols << ")";
-  }
-}
-
-// Auto must produce the same bits as whatever backend it resolves to — the
-// dispatcher adds no numeric behavior of its own.
-TEST(KernelsVec, AutoMatchesResolvedBackendBitwise) {
-  KernelEnvGuard guard;
-  struct Shape {
-    std::size_t m, k, n;
-  };
-  for (const auto& s : {Shape{8, 8, 8}, Shape{40, 15, 40}, Shape{40, 32, 40}}) {
-    const auto a = random_vec(s.m * s.k, 91);
-    const auto b = random_vec(s.k * s.n, 93);
-    const std::vector<float> c_seed(s.m * s.n, 0.0f);
-    const auto resolved =
-        kernels::resolve_backend(kernels::Backend::kAuto, s.m, s.k, s.n);
-    const auto want =
-        run_gemm(kernels::sgemm, resolved, s.m, s.k, s.n, a, b, c_seed, false);
-    const auto got = run_gemm(kernels::sgemm, kernels::Backend::kAuto, s.m, s.k, s.n, a,
-                              b, c_seed, false);
-    EXPECT_EQ(got, want) << "m=" << s.m << " k=" << s.k << " n=" << s.n << " resolved to "
-                         << kernels::backend_name(resolved);
   }
 }

@@ -26,6 +26,7 @@
 #include "dp/rdp.hpp"
 #include "graph/spectral.hpp"
 #include "io/checkpoint.hpp"
+#include "kernels/backend.hpp"
 #include "obs/metrics.hpp"
 #include "fleet/options.hpp"
 #include "obs/phase.hpp"
@@ -72,10 +73,10 @@ int usage() {
       "                    --metric-agents K (evaluate loss/acc on the first\n"
       "                      K agents only; 0 = all)\n"
       "                    --threads N (parallel agents; 1=sequential, 0=auto-detect)\n"
-      "                    --backend blocked|naive|vectorized|auto (S-KER math\n"
-      "                      kernels; default blocked, or the PDSL_KERNEL_BACKEND\n"
-      "                      env var; vectorized/auto = S-VEC fast-math tier,\n"
-      "                      deterministic but tolerance-banded, not bit-identical)\n"
+      "                    --backend vectorized|naive (S-KER math kernels;\n"
+      "                      default vectorized, or the PDSL_KERNEL_BACKEND env\n"
+      "                      var; vectorized = S-VEC fast tier, deterministic but\n"
+      "                      tolerance-banded; naive = the bit-exact reference)\n"
       "                    --shapley-eval sequential|linear (S-SHAP:\n"
       "                      sequential = one forward pass per coalition average,\n"
       "                      the bit-identical reference; linear = reuse\n"
@@ -326,7 +327,9 @@ int cmd_run(int argc, const char* const* argv) {
       args.get_int("seed", static_cast<std::int64_t>(cfg.seed)));
   cfg.threads = nonneg(
       "threads", args.get_int("threads", static_cast<std::int64_t>(cfg.threads)));
-  cfg.backend = args.get_string("backend", cfg.backend);
+  if (args.has("backend")) {
+    cfg.backend = kernels::backend_from_string(args.get_string("backend", ""), "--backend");
+  }
   // S-SCALE fleet flags. Range checks happen here (loud, naming the flag)
   // and again in FleetOptions::validate once the agent count is known.
   if (args.has("participation")) {

@@ -54,7 +54,6 @@ BENCHES = {
         "quick": ["--reps", "5"],
         "default": [],
         "headline": ["cifar_conv_min_speedup", "square_gemm_vec_min_speedup",
-                     "conv_cifar_l2.speedup", "gemm_square_256.speedup",
                      "gemm_square_256.vec_speedup", "conv_cifar_l2.vec_speedup"],
         "ab": True,
     },
@@ -414,9 +413,9 @@ def render_report(docs, history, ab_section):
             lines.append(f"- **{bench}**: {status} ({detail})")
         lines.append("")
 
-    # Perf trajectory: current run vs the most recent prior history entry for
-    # the same bench (skipping entries from this invocation).
-    current_ids = {id(d) for d in docs}
+    # Perf trajectory: each doc vs the most recent history entry for the same
+    # bench that is not the doc itself (a checked-in doc was appended to the
+    # history when it was measured).
     lines.append("## Perf trajectory")
     lines.append("")
     any_row = False
@@ -424,7 +423,10 @@ def render_report(docs, history, ab_section):
             "|---|---|---|---|---|---|"]
     for doc in docs:
         bench = doc["bench"]
-        prior = [h for h in history if h.get("bench") == bench]
+        medians = {k: m["median"] for k, m in doc["metrics"].items()}
+        prior = [h for h in history if h.get("bench") == bench
+                 and not (h.get("git_rev") == doc["git_rev"]
+                          and h.get("metrics") == medians)]
         if not prior:
             continue
         prev = prior[-1]
@@ -488,8 +490,6 @@ def legacy_metrics(doc):
             name = row.get("name")
             if name:
                 put(f"{name}.naive_ms", row.get("naive_ms"))
-                put(f"{name}.blocked_ms", row.get("blocked_ms"))
-                put(f"{name}.speedup", row.get("speedup"))
                 put(f"{name}.vec_ms", row.get("vec_ms"))
                 put(f"{name}.vec_speedup", row.get("vec_speedup"))
         put("cifar_conv_min_speedup", doc.get("cifar_conv_min_speedup"))
@@ -658,7 +658,16 @@ def main():
     if args.git_commit:
         ab_section = run_ab(args.git_commit, subset, args.jobs, repeats, args.quick)
 
-    report = render_report(docs, history, ab_section)
+    # The report covers every bench with a BENCH_<id>.json, not just this
+    # subset (written above): benches that did not run keep their checked-in
+    # results.
+    report_docs = []
+    for bench in DEFAULT_SUBSET + [b for b in BENCHES if b not in DEFAULT_SUBSET]:
+        path = os.path.join(REPO, f"BENCH_{bench}.json")
+        if os.path.exists(path):
+            with open(path) as f:
+                report_docs.append(json.load(f))
+    report = render_report(report_docs, history, ab_section)
     with open(os.path.join(REPO, "BENCH_REPORT.md"), "w") as f:
         f.write(report)
     for doc in docs:
