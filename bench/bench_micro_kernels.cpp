@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,6 +32,7 @@
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
 #include "dp/mechanism.hpp"
+#include "dp/noise.hpp"
 #include "graph/mixing.hpp"
 #include "kernels/backend.hpp"
 #include "kernels/gemm.hpp"
@@ -310,13 +312,53 @@ static void BM_Privatize(benchmark::State& state) {
   Rng rng(4);
   std::vector<float> g(d);
   rng.fill_normal(g, 0.0, 1.0);
+  dp::ReleaseKey key{4, 0, 0, dp::ReleaseKind::kSelf, 0};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dp::privatize(g, 1.0, 0.1, rng));
+    ++key.round;
+    benchmark::DoNotOptimize(dp::privatize(g, 1.0, 0.1, key));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(d));
 }
 BENCHMARK(BM_Privatize)->Arg(1000)->Arg(10000)->Arg(100000);
+
+// The noise of one release at the paper's MLP size (d = 6634): the per-draw
+// std::normal_distribution loop releases ran before noise was keyed, against
+// the keyed fill that replaced it. Both report ns_per_draw.
+static void set_ns_per_draw(benchmark::State& state, std::size_t d) {
+  state.counters["ns_per_draw"] = benchmark::Counter(
+      1e-9 * static_cast<double>(state.iterations()) * static_cast<double>(d),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+static void BM_GaussianNoiseStdNormal(benchmark::State& state) {
+  const auto d = static_cast<std::size_t>(state.range(0));
+  std::vector<float> g(d, 0.0f);
+  Rng rng(6);
+  for (auto _ : state) {
+    for (auto& v : g) {
+      std::normal_distribution<double> dist(0.0, 0.1);
+      v += static_cast<float>(dist(rng.engine()));
+    }
+    benchmark::DoNotOptimize(g.data());
+    benchmark::ClobberMemory();
+  }
+  set_ns_per_draw(state, d);
+}
+BENCHMARK(BM_GaussianNoiseStdNormal)->Arg(6634);
+
+static void BM_GaussianNoiseKeyed(benchmark::State& state) {
+  const auto d = static_cast<std::size_t>(state.range(0));
+  std::vector<float> g(d, 0.0f);
+  std::uint64_t key = 6;
+  for (auto _ : state) {
+    dp::add_keyed_gaussian(g.data(), d, 0.1f, ++key);
+    benchmark::DoNotOptimize(g.data());
+    benchmark::ClobberMemory();
+  }
+  set_ns_per_draw(state, d);
+}
+BENCHMARK(BM_GaussianNoiseKeyed)->Arg(6634);
 
 static void BM_MonteCarloShapley(benchmark::State& state) {
   const auto players = static_cast<std::size_t>(state.range(0));

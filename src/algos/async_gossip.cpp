@@ -8,15 +8,16 @@ namespace pdsl::algos {
 AsyncDpGossip::AsyncDpGossip(const Env& env)
     : Algorithm(env), clock_rng_(splitmix64(env.seed ^ 0xA57C)) {}
 
-void AsyncDpGossip::wake(std::size_t i, std::size_t t) {
+void AsyncDpGossip::wake(std::size_t i, std::size_t t, std::size_t e) {
   ++events_;
   if (!active(i)) return;  // churned out: the wake event fires into the void
   // Local privatized step at whatever (possibly stale) model i currently has.
   {
     auto timer = phase(obs::Phase::kLocalGrad);
     workers_[i].draw_batch();
+    // An agent can wake more than once per round: the event index keys it.
     const auto g = dp::privatize(workers_[i].gradient(models_[i]), env_.hp.clip, env_.hp.sigma,
-                                 agent_rngs_[i]);
+                                 release_key(i, t, dp::ReleaseKind::kSelf, e));
     axpy(models_.mut(i), g, static_cast<float>(-env_.hp.gamma));
   }
   auto timer = phase(obs::Phase::kGossip);
@@ -58,7 +59,7 @@ void AsyncDpGossip::round_impl(std::size_t t) {
   for (std::size_t e = 0; e < m; ++e) {
     const auto i = static_cast<std::size_t>(
         clock_rng_.uniform_int(0, static_cast<std::int64_t>(m) - 1));
-    wake(i, t);
+    wake(i, t, e);
   }
 }
 

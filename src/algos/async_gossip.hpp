@@ -22,7 +22,8 @@ class AsyncDpGossip final : public Algorithm {
   [[nodiscard]] std::size_t events() const { return events_; }
 
  private:
-  void wake(std::size_t agent, std::size_t t);
+  /// Wake event `e` (0..M-1) of round t; e keys the agent's noise release.
+  void wake(std::size_t agent, std::size_t t, std::size_t e);
 
   Rng clock_rng_;  ///< wake order + partner choice
   std::size_t events_ = 0;

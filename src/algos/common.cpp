@@ -152,10 +152,6 @@ Algorithm::Algorithm(const Env& env)
   workers_.init(init_model, *env.train, *env.partition, env.hp.batch, root,
                 env.fleet.lazy_state, auto_cache_cap(env.fleet, m));
   models_.reset(m, x0);  // COW: one shared x0 row until an agent diverges
-  agent_rngs_.reserve(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    agent_rngs_.push_back(root.split(0xA900 + i));
-  }
 }
 
 std::vector<float> Algorithm::average_model() const { return sim::average_model(models_); }
@@ -265,7 +261,6 @@ void Algorithm::save_base_state(io::ByteBuffer& buf) const {
   io::append_u64(buf, m);
   io::append_u64(buf, models_.dim());
   for (std::size_t i = 0; i < m; ++i) io::append_floats(buf, models_[i]);
-  for (std::size_t i = 0; i < m; ++i) io::append_string(buf, agent_rngs_[i].serialize());
   io::append_u64(buf, draw_epoch_);
   // Stateful (non-fleet) runs advance each worker's sampler stream once per
   // draw; the cursor must resume exactly. stateless_batches() guarantees the
@@ -295,9 +290,6 @@ void Algorithm::load_base_state(io::ByteReader& r) {
   rows.reserve(m);
   for (std::size_t i = 0; i < m; ++i) rows.push_back(r.read_floats("state model row"));
   models_.assign(std::move(rows));
-  for (std::size_t i = 0; i < m; ++i) {
-    agent_rngs_[i] = Rng::deserialize(r.read_string("state agent rng"));
-  }
   draw_epoch_ = r.read_u64("state draw epoch");
   const bool file_stateless = r.read_u8("state draw mode") != 0;
   if (file_stateless != stateless_draws_) {

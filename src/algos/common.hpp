@@ -14,6 +14,7 @@
 
 #include "common/rng.hpp"
 #include "compress/compressor.hpp"
+#include "dp/noise.hpp"
 #include "dp/rdp.hpp"
 #include "fleet/lazy_matrix.hpp"
 #include "fleet/options.hpp"
@@ -282,7 +283,7 @@ class Algorithm {
   void note_crash_recovery(bool resynced, std::size_t lag);
 
   /// Serialize the algorithm's full dynamic state for kill-and-resume
-  /// (models, per-agent RNG cursors, network counters/in-flight messages,
+  /// (models, batch-sampler cursors, network counters/in-flight messages,
   /// algorithm-specific members). The base implementation refuses loudly;
   /// algorithms opt in by overriding both (Pdsl does).
   virtual void save_state(io::ByteBuffer& buf) const;
@@ -356,6 +357,14 @@ class Algorithm {
   /// counts a rejection) if the payload must be discarded.
   bool sanitize_payload(std::vector<float>& payload, bool reclip);
 
+  /// Key of agent i's noisy release of `kind` in round t (dp/noise.hpp).
+  /// `index` tells apart the releases one agent makes more than once per
+  /// (round, kind): the neighbour for kCross, else the local step or wake.
+  [[nodiscard]] dp::ReleaseKey release_key(std::size_t i, std::size_t t, dp::ReleaseKind kind,
+                                           std::size_t index = 0) const {
+    return {env_.seed, i, t, kind, index};
+  }
+
   /// Draw this round's mini-batch on every worker (fleet mode: round-keyed
   /// stateless draws on active workers only; see FleetOptions).
   void draw_all_batches();
@@ -364,8 +373,8 @@ class Algorithm {
   /// span when tracing is on): `auto t = phase(obs::Phase::kLocalGrad);`.
   [[nodiscard]] obs::PhaseScope phase(obs::Phase p) { return {phases_, p}; }
 
-  /// The shared slice of save_state/load_state: model rows, per-agent RNG
-  /// cursors, stateful batch-sampler cursors (or the stateless draw epoch),
+  /// The shared slice of save_state/load_state: model rows, stateful
+  /// batch-sampler cursors (or the stateless draw epoch),
   /// the unread-mailbox tally and the network's dynamic state. Subclasses
   /// call these from their overrides, then append their own members.
   void save_base_state(io::ByteBuffer& buf) const;
@@ -375,7 +384,6 @@ class Algorithm {
   sim::Network net_;
   sim::WorkerPool workers_;                 ///< per-agent workers (lazy in fleet mode)
   fleet::LazyMatrix models_;                ///< x_i, flat (COW rows share x0)
-  std::vector<Rng> agent_rngs_;             ///< per-agent noise streams
   obs::PhaseTimings phases_;                ///< since last reset_phase_timings()
   FaultRoundStats fault_stats_;             ///< reset at the top of each round
   std::vector<unsigned char> active_;       ///< participation && !churn, per round

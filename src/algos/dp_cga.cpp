@@ -35,7 +35,7 @@ void DpCga::round_impl(std::size_t t) {
         auto xj = receive_checked(i, j, model_tag, /*reclip=*/false);
         if (!xj) continue;  // dropped link: owner falls back to remaining grads
         auto g = dp::privatize(workers_[i].gradient(*xj), env_.hp.clip, env_.hp.sigma,
-                               agent_rngs_[i]);
+                               release_key(i, t, dp::ReleaseKind::kCross, j));
         // The returned cross-gradient steers j's update: contribution channel.
         // (j sent a model, so it participates — but keep the guard symmetric.)
         if (participating(j)) net_.send(i, j, xgrad_tag, std::move(g), sim::Channel::kContribution);
@@ -53,7 +53,7 @@ void DpCga::round_impl(std::size_t t) {
       if (!active(i)) return;  // directions[i] stays empty; update skipped below
       std::vector<std::vector<float>> bundle;
       bundle.push_back(dp::privatize(workers_[i].gradient(models_[i]), env_.hp.clip,
-                                     env_.hp.sigma, agent_rngs_[i]));
+                                     env_.hp.sigma, release_key(i, t, dp::ReleaseKind::kSelf)));
       for (std::size_t j : neighbors(i)) {
         if (auto g = receive_checked(i, j, xgrad_tag, /*reclip=*/true)) {
           bundle.push_back(std::move(*g));

@@ -26,8 +26,9 @@ void DpNetFleet::round_impl(std::size_t t) {
     draw_all_batches();
     runtime::parallel_for(0, m, 1, [&](std::size_t i) {
       if (!active(i)) return;  // tracker stays 0 until the agent comes back
+      // Index 1: the round's regular self release below takes index 0.
       prev_grad_[i] = dp::privatize(workers_[i].gradient(models_[i]), env_.hp.clip,
-                                    env_.hp.sigma, agent_rngs_[i]);
+                                    env_.hp.sigma, release_key(i, t, dp::ReleaseKind::kSelf, 1));
       tracker_[i] = prev_grad_[i];
     });
     first_round_ = false;
@@ -59,7 +60,7 @@ void DpNetFleet::round_impl(std::size_t t) {
   runtime::parallel_for(0, m, 1, [&](std::size_t i) {
     if (!active(i)) return;  // churned out: tracker, prev grad and model frozen
     auto g = dp::privatize(workers_[i].gradient(mixed_model[i]), env_.hp.clip, env_.hp.sigma,
-                           agent_rngs_[i]);
+                           release_key(i, t, dp::ReleaseKind::kSelf));
     auto& y = mixed_tracker[i];
     for (std::size_t k = 0; k < y.size(); ++k) y[k] += g[k] - prev_grad_[i][k];
     const double noise_norm_bound =

@@ -16,7 +16,7 @@ FedAvg::FedAvg(const Env& env) : Algorithm(env) {
   for (auto& w : shard_weights_) w /= total;
 }
 
-void FedAvg::round_impl(std::size_t /*t*/) {
+void FedAvg::round_impl(std::size_t t) {
   const std::size_t m = num_agents();
   const auto steps = std::max<std::size_t>(1, env_.hp.local_steps);
 
@@ -28,7 +28,7 @@ void FedAvg::round_impl(std::size_t /*t*/) {
       for (std::size_t k = 0; k < steps; ++k) {
         workers_[i].draw_batch();
         const auto g = dp::privatize(workers_[i].gradient(models_[i]), env_.hp.clip,
-                                     env_.hp.sigma, agent_rngs_[i]);
+                                     env_.hp.sigma, release_key(i, t, dp::ReleaseKind::kSelf, k));
         axpy(models_.mut(i), g, static_cast<float>(-env_.hp.gamma));
       }
     });

@@ -19,7 +19,8 @@ void Muffliato::round_impl(std::size_t t) {
       axpy(models_.mut(i), g, static_cast<float>(-env_.hp.gamma));
       // Perturb the *update scale* the agent exposes: noise with stddev
       // gamma*sigma on the model matches noising the gradient with sigma.
-      dp::add_gaussian_noise(models_.mut(i), env_.hp.gamma * env_.hp.sigma, agent_rngs_[i]);
+      dp::add_gaussian_noise(models_.mut(i), env_.hp.gamma * env_.hp.sigma,
+                             release_key(i, t, dp::ReleaseKind::kModel));
     });
   }
   // Gossip phase: K sweeps of x <- W x.

@@ -23,7 +23,7 @@ void DpQgm::round_impl(std::size_t t) {
     runtime::parallel_for(0, m, 1, [&](std::size_t i) {
       if (!active(i)) return;
       grads[i] = dp::privatize(workers_[i].gradient(models_[i]), env_.hp.clip, env_.hp.sigma,
-                               agent_rngs_[i]);
+                               release_key(i, t, dp::ReleaseKind::kSelf));
     });
   }
   auto mixed = mix_vectors(models_, "x@" + std::to_string(t));

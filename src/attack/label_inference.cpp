@@ -54,7 +54,9 @@ LabelLeakageResult label_leakage_experiment(const nn::Model& model, const data::
           rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1))];
     }
     victim.loss_and_backward(ds.batch_features(idx), ds.batch_labels(idx));
-    const auto released = dp::privatize(victim.flat_grad(), clip, sigma, rng);
+    // The victim's self release; each trial is its own "round".
+    const auto released = dp::privatize(victim.flat_grad(), clip, sigma,
+                                        {rng.seed(), 0, trial + 1, dp::ReleaseKind::kSelf, 0});
     if (infer_dominant_label(released, classes) == secret) ++hits;
   }
 

@@ -8,13 +8,6 @@
 
 namespace pdsl {
 
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
 Rng Rng::split(std::uint64_t salt) const {
   return Rng(splitmix64(seed_ ^ splitmix64(salt)));
 }

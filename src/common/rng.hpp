@@ -76,6 +76,12 @@ class Rng {
 };
 
 /// SplitMix64 mixing step; also useful as a cheap deterministic hash.
-[[nodiscard]] std::uint64_t splitmix64(std::uint64_t x);
+/// Inline: the keyed DP noise stream (dp/noise.cpp) calls it per word.
+[[nodiscard]] inline std::uint64_t splitmix64(std::uint64_t x) {
+  x += 0x9E3779B97F4A7C15ULL;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
 
 }  // namespace pdsl

@@ -151,8 +151,9 @@ sim::FixedBatch Pdsl::draw_validation_batch() {
 
 // Every phase below is a runtime::parallel_for over agents between the same
 // barriers the sequential loops had. Determinism at any width: each agent
-// draws only from its own pre-split RNG streams (agent_rngs_[i],
-// shapley_rngs_[i]), writes only slot i of pre-sized outputs, and moves data
+// draws only from its own pre-split RNG stream (shapley_rngs_[i]) and from
+// noise streams keyed by (seed, agent, round, kind, neighbour) that no other
+// release shares, writes only slot i of pre-sized outputs, and moves data
 // exclusively through the thread-safe sim::Network. Scalar round reductions
 // (coalition-eval counts, the phi_hat minimum) go through per-agent slots and
 // are folded sequentially after the barrier so no float/int accumulation
@@ -172,9 +173,8 @@ void Pdsl::round_impl(std::size_t t) {
     draw_all_batches();
     runtime::parallel_for(0, m, 1, [&](std::size_t i) {
       if (!active(i)) return;  // churned out: frozen, silent
-      own_grad[i] =
-          dp::privatize(workers_[i].gradient(models_[i]), env_.hp.clip, env_.hp.sigma,
-                        agent_rngs_[i]);
+      own_grad[i] = dp::privatize(workers_[i].gradient(models_[i]), env_.hp.clip,
+                                  env_.hp.sigma, release_key(i, t, dp::ReleaseKind::kSelf));
       for (std::size_t j : neighbors(i)) {
         // S-SCALE: non-participating neighbors are outside the round — no
         // model broadcast to them (no-op in full-participation mode).
@@ -195,7 +195,7 @@ void Pdsl::round_impl(std::size_t t) {
         auto xj = receive_checked(i, j, model_tag, /*reclip=*/false);
         if (!xj) continue;  // dropped link; j degrades (renormalize/stale/self)
         auto g = dp::privatize(workers_[i].gradient(*xj), env_.hp.clip, env_.hp.sigma,
-                               agent_rngs_[i]);
+                               release_key(i, t, dp::ReleaseKind::kCross, j));
         if (participating(j)) net_.send(i, j, xgrad_tag, std::move(g), sim::Channel::kContribution);
       }
     });

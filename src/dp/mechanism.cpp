@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "common/vec_math.hpp"
 #include "obs/metrics.hpp"
@@ -34,10 +35,33 @@ std::vector<float> clipped_l2(const std::vector<float>& g, double threshold) {
   return out;
 }
 
+namespace {
+std::function<void(const ReleaseKey&)>& release_observer() {
+  static std::function<void(const ReleaseKey&)> observer;
+  return observer;
+}
+}  // namespace
+
+void set_release_observer(std::function<void(const ReleaseKey&)> observer) {
+  release_observer() = std::move(observer);
+}
+
+void add_gaussian_noise(std::vector<float>& g, double sigma, const ReleaseKey& key) {
+  if (sigma < 0.0) throw std::invalid_argument("add_gaussian_noise: negative sigma");
+  if (sigma == 0.0) return;
+  static obs::Counter* const releases[] = {
+      &obs::MetricsRegistry::global().counter("dp.noise_releases.self"),
+      &obs::MetricsRegistry::global().counter("dp.noise_releases.cross"),
+      &obs::MetricsRegistry::global().counter("dp.noise_releases.model")};
+  releases[static_cast<std::size_t>(key.kind)]->add(1);
+  if (const auto& observe = release_observer()) observe(key);
+  add_keyed_gaussian(g.data(), g.size(), static_cast<float>(sigma), stream_key(key));
+}
+
 void add_gaussian_noise(std::vector<float>& g, double sigma, Rng& rng) {
   if (sigma < 0.0) throw std::invalid_argument("add_gaussian_noise: negative sigma");
   if (sigma == 0.0) return;
-  for (auto& v : g) v += static_cast<float>(rng.normal(0.0, sigma));
+  add_keyed_gaussian(g.data(), g.size(), static_cast<float>(sigma), rng.engine()());
 }
 
 double gaussian_sigma(double l2_sensitivity, double epsilon, double delta) {
@@ -49,11 +73,11 @@ double gaussian_sigma(double l2_sensitivity, double epsilon, double delta) {
   return std::sqrt(2.0 * std::log(1.25 / delta)) * l2_sensitivity / epsilon;
 }
 
-std::vector<float> privatize(const std::vector<float>& g, double clip, double sigma, Rng& rng) {
-  std::vector<float> out = g;
-  clip_l2(out, clip);
-  add_gaussian_noise(out, sigma, rng);
-  return out;
+std::vector<float> privatize(std::vector<float> g, double clip, double sigma,
+                             const ReleaseKey& key) {
+  clip_l2(g, clip);
+  add_gaussian_noise(g, sigma, key);
+  return g;
 }
 
 }  // namespace pdsl::dp

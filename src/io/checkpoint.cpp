@@ -45,6 +45,16 @@ std::vector<float> read_floats(std::ifstream& in, std::size_t n) {
   return v;
 }
 
+/// A magic as the 8 characters it spells ("PDSLRUN3"), '?' for non-ASCII.
+std::string magic_name(std::uint64_t magic) {
+  std::string s = "\"";
+  for (int shift = 56; shift >= 0; shift -= 8) {
+    const auto c = static_cast<char>((magic >> shift) & 0xFF);
+    s += (c >= 0x20 && c < 0x7F) ? c : '?';
+  }
+  return s + "\"";
+}
+
 void check_version(std::ifstream& in, const char* who, const std::string& path) {
   const auto version = read_u64(in, "version");
   if (version != kCheckpointVersion) {
@@ -147,8 +157,9 @@ void save_blob(const std::string& path, std::uint64_t magic, const ByteBuffer& b
 ByteBuffer load_blob(const std::string& path, std::uint64_t magic, const char* who) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error(std::string(who) + ": cannot open " + path);
-  if (read_u64(in, "magic") != magic) {
-    throw std::runtime_error(std::string(who) + ": bad magic in " + path);
+  if (const auto found = read_u64(in, "magic"); found != magic) {
+    throw std::runtime_error(std::string(who) + ": bad magic " + magic_name(found) + " in " +
+                             path + " (expected " + magic_name(magic) + ")");
   }
   check_version(in, who, path);
   const auto size = read_u64(in, "size");

@@ -1,5 +1,5 @@
 #pragma once
-// S-RECOV resumable run-state file ("PDSLRUN2" blob): everything needed to
+// S-RECOV resumable run-state file ("PDSLRUN3" blob): everything needed to
 // kill a run after round r and continue it bit-identically — the driver-side
 // cursor/series/accountant (algos::ResumeState) plus the algorithm's opaque
 // save_state blob, guarded by a config-identity hash so a resume against a
@@ -15,9 +15,11 @@
 
 namespace pdsl::recovery {
 
-/// "PDSLRUN2" — resumable run-state blob magic. (PDSLRUN1 files stored the
-/// round metrics in another field order and are refused.)
-constexpr std::uint64_t kRunStateMagic = 0x5044534C52554E32ULL;
+/// "PDSLRUN3" — resumable run-state blob magic. Older files are refused by
+/// magic: PDSLRUN1 stored the round metrics in another field order, and
+/// PDSLRUN2 carried per-agent DP noise-stream cursors from before noise was
+/// keyed per release (dp/noise.hpp), so neither resumes bit-identically.
+constexpr std::uint64_t kRunStateMagic = 0x5044534C52554E33ULL;
 /// "PDSLSNP1" — per-agent recovery snapshot blob magic.
 constexpr std::uint64_t kSnapshotMagic = 0x5044534C534E5031ULL;
 

@@ -93,9 +93,8 @@ TEST(Gaussian, SigmaRejectsBadBudgets) {
 }
 
 TEST(Privatize, ClipsThenPerturbs) {
-  Rng rng(20);
   std::vector<float> g(1000, 10.0f);  // enormous norm
-  const auto out = privatize(g, 1.0, 0.01, rng);
+  const auto out = privatize(g, 1.0, 0.01, ReleaseKey{20, 0, 1, ReleaseKind::kSelf, 0});
   // After clipping to norm 1 and adding tiny noise, norm must be ~1.
   EXPECT_NEAR(l2_norm(out), 1.0, 0.5);
 }

@@ -479,6 +479,10 @@ int cmd_run(int argc, const char* const* argv) {
                                 : static_cast<double>(clipped) /
                                       static_cast<double>(clip_total),
                 reg.gauge("dp.sigma").value());
+    std::printf("dp.noise_releases self=%llu cross=%llu model=%llu\n",
+                static_cast<unsigned long long>(reg.counter("dp.noise_releases.self").value()),
+                static_cast<unsigned long long>(reg.counter("dp.noise_releases.cross").value()),
+                static_cast<unsigned long long>(reg.counter("dp.noise_releases.model").value()));
     std::printf("shapley.permutations_early_stopped=%llu\n",
                 static_cast<unsigned long long>(
                     reg.counter("shapley.permutations_early_stopped").value()));
