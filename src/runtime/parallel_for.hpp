@@ -43,9 +43,10 @@ void set_global_threads(std::size_t threads);
 ///
 /// Determinism contract: a body that (a) writes only to slot i of pre-sized
 /// containers, (b) draws randomness only from streams split per index up
-/// front, and (c) routes cross-index data through thread-safe channels whose
-/// observable state is order-independent (sim::Network), produces bit-equal
-/// results at every width.
+/// front or keyed by what it computes (dp/noise.hpp), and (c) routes
+/// cross-index data through thread-safe channels whose observable state is
+/// order-independent (sim::Network), produces bit-equal results at every
+/// width.
 void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
                   const std::function<void(std::size_t)>& body);
 

@@ -3,14 +3,25 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <mutex>
+#include <set>
 
 #include "common/vec_math.hpp"
+#include "core/experiment.hpp"
+#include "data/partition.hpp"
+#include "data/synthetic.hpp"
 #include "dp/accountant.hpp"
 #include "dp/calibration.hpp"
 #include "dp/mechanism.hpp"
+#include "dp/noise.hpp"
 #include "graph/mixing.hpp"
 #include "graph/spectral.hpp"
+#include "nn/model_zoo.hpp"
+#include "obs/metrics.hpp"
+#include "runtime/parallel_for.hpp"
 
 using namespace pdsl;
 using namespace pdsl::dp;
@@ -97,6 +108,264 @@ TEST(Privatize, ClipsThenPerturbs) {
   const auto out = privatize(g, 1.0, 0.01, ReleaseKey{20, 0, 1, ReleaseKind::kSelf, 0});
   // After clipping to norm 1 and adding tiny noise, norm must be ~1.
   EXPECT_NEAR(l2_norm(out), 1.0, 0.5);
+}
+
+// ---- The keyed sampler (dp/noise.hpp). Every test uses fixed keys, so each
+// statistic below is one fixed number: none of them can flake. The bands are
+// the ones a fresh, honest draw would pass with high probability.
+
+namespace {
+
+/// n standard-normal draws of the stream `key`.
+std::vector<float> draws(std::uint64_t key, std::size_t n) {
+  std::vector<float> z(n, 0.0f);
+  add_keyed_gaussian(z.data(), n, 1.0f, key);
+  return z;
+}
+
+double phi(double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); }
+
+/// Kolmogorov-Smirnov distance between the sample and the CDF `cdf`.
+template <typename Cdf>
+double ks_distance(std::vector<double> xs, Cdf cdf) {
+  std::sort(xs.begin(), xs.end());
+  const auto n = static_cast<double>(xs.size());
+  double d = 0.0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const double f = cdf(xs[i]);
+    d = std::max({d, f - static_cast<double>(i) / n, static_cast<double>(i + 1) / n - f});
+  }
+  return d;
+}
+
+double pearson(const std::vector<float>& a, const std::vector<float>& b) {
+  double sa = 0.0, sb = 0.0, saa = 0.0, sbb = 0.0, sab = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    sa += a[i];
+    sb += b[i];
+    saa += static_cast<double>(a[i]) * a[i];
+    sbb += static_cast<double>(b[i]) * b[i];
+    sab += static_cast<double>(a[i]) * b[i];
+  }
+  const auto n = static_cast<double>(a.size());
+  const double cov = sab / n - (sa / n) * (sb / n);
+  return cov / std::sqrt((saa / n - (sa / n) * (sa / n)) * (sbb / n - (sb / n) * (sb / n)));
+}
+
+// The base layer's right edge in dp/noise.cpp: every draw beyond it comes
+// from the tail branch.
+constexpr double kZigguratR = 3.442619855899;
+
+}  // namespace
+
+TEST(KeyedNoise, MeanAndVarianceAtOneMillion) {
+  const std::size_t n = 1000000;
+  const auto z = draws(stream_key({11, 0, 1, ReleaseKind::kSelf, 0}), n);
+  double sum = 0.0, sq = 0.0;
+  for (float v : z) {
+    sum += v;
+    sq += static_cast<double>(v) * v;
+  }
+  const double mean = sum / static_cast<double>(n);
+  const double var = sq / static_cast<double>(n) - mean * mean;
+  EXPECT_LT(std::abs(mean), 4.0 / std::sqrt(static_cast<double>(n)));
+  EXPECT_LT(std::abs(var - 1.0), 4.0 * std::sqrt(2.0 / static_cast<double>(n)));
+}
+
+TEST(KeyedNoise, KolmogorovSmirnovAgainstPhi) {
+  const std::size_t n = 1000000;
+  const auto z = draws(stream_key({12, 0, 1, ReleaseKind::kSelf, 0}), n);
+  const double d = ks_distance(std::vector<double>(z.begin(), z.end()), phi);
+  EXPECT_LT(d, 1.95 / std::sqrt(static_cast<double>(n)));  // alpha = 0.001
+}
+
+TEST(KeyedNoise, TailMassAtFourAndFiveSigma) {
+  const std::size_t n = 10000000;
+  const auto z = draws(stream_key({13, 0, 1, ReleaseKind::kSelf, 0}), n);
+  for (const double t : {4.0, 5.0}) {
+    const double p = std::erfc(t / std::sqrt(2.0));  // P(|z| > t)
+    const auto hits = static_cast<double>(
+        std::count_if(z.begin(), z.end(), [&](float v) { return std::abs(v) > t; }));
+    const double expect = p * static_cast<double>(n);
+    EXPECT_LE(std::abs(hits - expect), 4.0 * std::sqrt(expect * (1.0 - p))) << "t=" << t;
+  }
+}
+
+TEST(KeyedNoise, TailBranchMatchesTruncatedNormal) {
+  // |z| > r only comes out of the tail sampler; given that, |z| follows the
+  // normal truncated to [r, inf).
+  std::vector<double> tail;
+  for (std::uint64_t k = 0; k < 4; ++k) {
+    for (float v : draws(stream_key({14, k, 1, ReleaseKind::kSelf, 0}), 10000000)) {
+      if (std::abs(v) > kZigguratR) tail.push_back(std::abs(v));
+    }
+  }
+  ASSERT_GT(tail.size(), 20000u);  // ~5.8e-4 of 4e7 draws
+  const double q_r = std::erfc(kZigguratR / std::sqrt(2.0));
+  const double d = ks_distance(tail, [&](double x) {
+    return 1.0 - std::erfc(x / std::sqrt(2.0)) / q_r;
+  });
+  EXPECT_LT(d, 1.95 / std::sqrt(static_cast<double>(tail.size())));
+}
+
+TEST(KeyedNoise, AdjacentKeysAreUncorrelated) {
+  const std::size_t n = 1000000;
+  const ReleaseKey base{15, 3, 5, ReleaseKind::kCross, 2};
+  const auto z = draws(stream_key(base), n);
+  ReleaseKey agent = base, neighbour = base, round = base, kind = base;
+  ++agent.agent;
+  ++neighbour.index;
+  ++round.round;
+  kind.kind = ReleaseKind::kSelf;
+  for (const ReleaseKey& other : {agent, neighbour, round, kind}) {
+    EXPECT_LT(std::abs(pearson(z, draws(stream_key(other), n))),
+              4.0 / std::sqrt(static_cast<double>(n)));
+  }
+}
+
+TEST(KeyedNoise, FillOrderDoesNotMatter) {
+  const std::uint64_t a = stream_key({16, 0, 1, ReleaseKind::kSelf, 0});
+  const std::uint64_t b = stream_key({16, 1, 1, ReleaseKind::kSelf, 0});
+  std::vector<float> a1(999, 0.5f), b1(999, 0.5f), a2(999, 0.5f), b2(999, 0.5f);
+  add_keyed_gaussian(a1.data(), a1.size(), 0.3f, a);
+  add_keyed_gaussian(b1.data(), b1.size(), 0.3f, b);
+  add_keyed_gaussian(b2.data(), b2.size(), 0.3f, b);
+  add_keyed_gaussian(a2.data(), a2.size(), 0.3f, a);
+  EXPECT_EQ(std::memcmp(a1.data(), a2.data(), a1.size() * sizeof(float)), 0);
+  EXPECT_EQ(std::memcmp(b1.data(), b2.data(), b1.size() * sizeof(float)), 0);
+  // Both ends of one shared buffer see the same sum in either order.
+  std::vector<float> ab(999, 0.0f), ba(999, 0.0f);
+  add_keyed_gaussian(ab.data(), ab.size(), 1.0f, a);
+  add_keyed_gaussian(ab.data(), ab.size(), 1.0f, b);
+  add_keyed_gaussian(ba.data(), ba.size(), 1.0f, b);
+  add_keyed_gaussian(ba.data(), ba.size(), 1.0f, a);
+  EXPECT_EQ(std::memcmp(ab.data(), ba.data(), ab.size() * sizeof(float)), 0);
+}
+
+TEST(KeyedNoise, FirstDrawsArePinned) {
+  // The stream is this library's own arithmetic, so these bits hold on any
+  // standard library. A change here changes every DP run's numbers.
+  const std::uint64_t key = stream_key({1, 2, 3, ReleaseKind::kCross, 4});
+  EXPECT_EQ(key, 0x8088DF3B2EB00DD8ULL);
+  const std::uint32_t pinned[8] = {0x3FB779DAu, 0xBF520BF3u, 0xBEC4E2DEu, 0x3EA6718Eu,
+                                   0x3F0216A1u, 0xBE6F25E0u, 0xBF9C2EEDu, 0xBF34C9FAu};
+  const auto z = draws(key, 8);
+  for (std::size_t k = 0; k < 8; ++k) {
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, &z[k], sizeof bits);
+    EXPECT_EQ(bits, pinned[k]) << "draw " << k << " = " << z[k];
+  }
+}
+
+namespace {
+
+/// A small run of `algorithm` on `topology` with DP noise on.
+struct ReleaseRun {
+  data::Dataset train, validation;
+  graph::Topology topo;
+  graph::MixingMatrix mixing;
+  nn::Model model;
+  std::vector<std::vector<std::size_t>> partition;
+  std::unique_ptr<algos::Algorithm> alg;
+
+  ReleaseRun(const std::string& algorithm, std::size_t agents, graph::TopologyKind topology)
+      : train(data::make_gaussian_mixture(400, 4, 6, 2.5, 0.5, 21)),
+        validation(data::make_gaussian_mixture(64, 4, 6, 2.5, 0.5, 22)),
+        topo(graph::Topology::make(topology, agents)),
+        mixing(graph::MixingMatrix::metropolis(topo)),
+        model(nn::make_mlp(6, 8, 4)) {
+    Rng rng(5);
+    partition = data::iid_partition(train, agents, rng);
+    algos::Env env;
+    env.topo = &topo;
+    env.mixing = &mixing;
+    env.train = &train;
+    env.validation = &validation;
+    env.model_template = &model;
+    env.partition = &partition;
+    env.hp.sigma = 0.1;
+    env.hp.batch = 8;
+    env.hp.local_steps = 3;  // FedAvg's K
+    env.seed = 9;
+    alg = core::make_algorithm(algorithm, env);
+  }
+};
+
+struct ReleaseCounts {
+  std::uint64_t self = 0, cross = 0, model = 0;
+};
+
+ReleaseCounts release_counters() {
+  auto& reg = obs::MetricsRegistry::global();
+  return {reg.counter("dp.noise_releases.self").value(),
+          reg.counter("dp.noise_releases.cross").value(),
+          reg.counter("dp.noise_releases.model").value()};
+}
+
+/// Releases counted while `run` runs rounds first..last.
+ReleaseCounts count_releases(ReleaseRun& run, std::size_t first, std::size_t last) {
+  const ReleaseCounts before = release_counters();
+  for (std::size_t t = first; t <= last; ++t) run.alg->run_round(t);
+  const ReleaseCounts after = release_counters();
+  return {after.self - before.self, after.cross - before.cross, after.model - before.model};
+}
+
+}  // namespace
+
+TEST(ReleaseCounters, OnePdslRoundOnFullGraphAndRing) {
+  const std::size_t m = 6;
+  ReleaseRun full("pdsl", m, graph::TopologyKind::kFullyConnected);
+  const ReleaseCounts f = count_releases(full, 1, 1);
+  EXPECT_EQ(f.self, m);
+  EXPECT_EQ(f.cross, m * (m - 1));
+  EXPECT_EQ(f.model, 0u);
+  ReleaseRun ring("pdsl", m, graph::TopologyKind::kRing);
+  const ReleaseCounts r = count_releases(ring, 1, 1);
+  EXPECT_EQ(r.self, m);
+  EXPECT_EQ(r.cross, 2 * m);
+  EXPECT_EQ(r.model, 0u);
+}
+
+TEST(ReleaseCounters, MuffliatoReleasesModels) {
+  ReleaseRun run("muffliato", 4, graph::TopologyKind::kRing);
+  const ReleaseCounts c = count_releases(run, 1, 1);
+  EXPECT_EQ(c.self + c.cross, 0u);
+  EXPECT_EQ(c.model, 4u);
+}
+
+TEST(ReleaseKeys, UniqueOverTwoRoundsOfEveryMultiReleaseAlgorithm) {
+  // Two releases sharing a key would carry the same noise, which cancels in
+  // their difference: a DP break no distribution test can see. Four threads,
+  // so the releases also race through the observer (TSan covers test_dp).
+  const std::size_t m = 5;
+  struct Case {
+    const char* algorithm;
+    std::size_t releases;  ///< over rounds 1 and 2
+  };
+  const Case cases[] = {
+      {"pdsl", 2 * (m + m * (m - 1))},    // self + cross on the full graph
+      {"dp_cga", 2 * (m + m * (m - 1))},  // the same exchange
+      {"fedavg", 2 * 3 * m},              // K = 3 local steps
+      {"async_dp_gossip", 2 * m},         // M wakes; an agent may wake twice
+      {"dp_netfleet", 3 * m},             // round 1 adds the tracker's release
+  };
+  runtime::set_global_threads(4);
+  for (const Case& c : cases) {
+    ReleaseRun run(c.algorithm, m, graph::TopologyKind::kFullyConnected);
+    std::mutex mu;
+    std::vector<std::uint64_t> keys;
+    set_release_observer([&](const ReleaseKey& k) {
+      std::lock_guard<std::mutex> lock(mu);
+      keys.push_back(stream_key(k));
+    });
+    run.alg->run_round(1);
+    run.alg->run_round(2);
+    set_release_observer({});
+    EXPECT_EQ(keys.size(), c.releases) << c.algorithm;
+    EXPECT_EQ(std::set<std::uint64_t>(keys.begin(), keys.end()).size(), keys.size())
+        << c.algorithm << " reuses a noise key";
+  }
+  runtime::set_global_threads(1);
 }
 
 namespace {

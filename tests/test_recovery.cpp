@@ -578,11 +578,16 @@ TEST(ResumeTest, RunStateRoundTripsAndDetectsDamage) {
   }
   EXPECT_THROW(recovery::load_run_state(path, 0), std::runtime_error);
 
-  // PDSLRUN1 files held as many 8-byte fields per round in another order:
-  // refused by magic, not read shuffled. A file written under another
-  // column table is refused by its fingerprint.
+  // PDSLRUN1 files held as many 8-byte fields per round in another order,
+  // and PDSLRUN2 files per-agent noise-stream cursors: both are refused by
+  // magic, named in the message. A file written under another column table
+  // is refused by its fingerprint.
   io::save_blob(path, 0x5044534C52554E31ULL, io::ByteBuffer(8), "test");
   EXPECT_NE(load_error(path).find("bad magic"), std::string::npos) << load_error(path);
+  io::save_blob(path, 0x5044534C52554E32ULL, io::ByteBuffer(8), "test");
+  EXPECT_NE(load_error(path).find("bad magic \"PDSLRUN2\""), std::string::npos)
+      << load_error(path);
+  EXPECT_NE(load_error(path).find("(expected \"PDSLRUN3\")"), std::string::npos);
   io::save_blob(path, recovery::kRunStateMagic, io::ByteBuffer(8), "test");
   EXPECT_NE(load_error(path).find("different set of round metrics"), std::string::npos);
 }

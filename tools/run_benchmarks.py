@@ -23,6 +23,7 @@ schemas are extracted tolerantly.
 
 import argparse
 import datetime
+import fnmatch
 import glob
 import json
 import os
@@ -160,10 +161,24 @@ def run(cmd, **kw):
     return subprocess.run(cmd, **kw)
 
 
+# Files this driver writes into the checkout itself. A tree that differs
+# from HEAD only in these still measures HEAD's code.
+DRIVER_OUTPUTS = ("BENCH_*.json", "BENCH_REPORT.md", "BENCH_HISTORY.jsonl")
+
+
 def git_rev(repo=REPO):
+    """HEAD's short rev, with "-dirty" appended when a tracked file other than
+    the driver's own outputs differs from HEAD: numbers measured on
+    uncommitted code must not be filed under the commit they came from."""
     out = subprocess.run(["git", "rev-parse", "--short=12", "HEAD"], cwd=repo,
                          capture_output=True, text=True)
-    return out.stdout.strip() if out.returncode == 0 else "unknown"
+    if out.returncode != 0:
+        return "unknown"
+    diff = subprocess.run(["git", "diff", "--name-only", "HEAD"], cwd=repo,
+                          capture_output=True, text=True)
+    changed = [name for name in diff.stdout.splitlines()
+               if not any(fnmatch.fnmatch(name, pat) for pat in DRIVER_OUTPUTS)]
+    return out.stdout.strip() + ("-dirty" if changed else "")
 
 
 # ---------------------------------------------------------------------------
