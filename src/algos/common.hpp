@@ -374,9 +374,9 @@ class Algorithm {
   [[nodiscard]] obs::PhaseScope phase(obs::Phase p) { return {phases_, p}; }
 
   /// The shared slice of save_state/load_state: model rows, stateful
-  /// batch-sampler cursors (or the stateless draw epoch),
-  /// the unread-mailbox tally and the network's dynamic state. Subclasses
-  /// call these from their overrides, then append their own members.
+  /// batch-sampler cursors (or the stateless draw epoch), the unread-mailbox
+  /// tally and the network's dynamic state. Subclasses call these from their
+  /// overrides, then append their own members.
   void save_base_state(io::ByteBuffer& buf) const;
   void load_base_state(io::ByteReader& r);
 
